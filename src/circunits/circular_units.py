@@ -33,7 +33,6 @@ __all__ = [
     "p_word_is_unit",
     "eval_p_word",
     "p_word_to_unit_word",
-    "independence_rank",
     "parse_word",
 ]
 
@@ -299,28 +298,3 @@ def p_word_to_unit_word(p: PWord) -> UnitWord:
                 exps[j] = exps.get(j, 0) - e_out
     return UnitWord.make(level, alpha_total, exps)
 
-
-# ---------------------------------------------------------------------- #
-# rank of the log embedding
-
-
-def independence_rank(level: Level) -> int:
-    """Numeric rank of the log-embedding matrix of the d-generators.
-
-    Singular values below 1e-6 count as zero; computed at 128-bit
-    precision.  Expected value is 2^(n-2)-1.
-    """
-    if level.n > 8:
-        raise ValueError("independence_rank is a desk-scale diagnostic, n <= 8")
-    from mpmath import fabs, log, mp, matrix, pi, cos, svd_r, workprec
-
-    gens = d_index_set(level)
-    embeddings = tuple(range(1, level.degree, 2))
-    with workprec(128):
-        mat = matrix(len(gens), len(embeddings))
-        for row, j in enumerate(gens):
-            for col, k in enumerate(embeddings):
-                value = 1 + 2 * cos(pi * j * k / level.degree)
-                mat[row, col] = log(fabs(value))
-        singular = svd_r(mat, compute_uv=False)
-        return sum(1 for s in singular if s > mp.mpf("1e-6"))

@@ -47,9 +47,12 @@ def _dump(document, path: str | None) -> None:
     text = json.dumps(document, indent=2)
     if path is None:
         print(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
+    except OSError as exc:
+        raise _UsageError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def _level_arg(n: int) -> Level:

@@ -70,12 +70,12 @@ class Mod2WordValue:
     coords: SpecialCoordsMod2
 
 
-def word_mod2(w: UnitWord) -> SpecialCoordsMod2:
-    """Mod-2 class of a real word in the special basis.
+def _word_parities(w: UnitWord) -> int:
+    """Coefficient parities of a real word, as an m-bit mask.
 
     Negative exponents are lifted by reducing every exponent mod 2^(n-2),
     which is valid because each d_j has order dividing 2^(n-2) mod 2.  The
-    same class is recomputed through exact unit inversion; a mismatch
+    same parities are recomputed through exact unit inversion; a mismatch
     would mean the order fact failed and is reported loudly.
     """
     if not w.is_real():
@@ -85,14 +85,17 @@ def word_mod2(w: UnitWord) -> SpecialCoordsMod2:
     period = 1 << (w.level.n - 2)
     reduced_exps = {j: e % period for j, e in w.d_exps}
     reduced = UnitWord.make(w.level, 0, reduced_exps)
-    coords = special_mod2(eval_word(reduced))
-    if reduced != w:
-        direct = special_mod2(eval_word(w))
-        if direct != coords:
-            raise InternalInconsistency(
-                "exponent reduction mod 2^(n-2) disagrees with exact inversion"
-            )
-    return coords
+    parities = pack_bits(eval_word(reduced).coeffs)
+    if reduced != w and pack_bits(eval_word(w).coeffs) != parities:
+        raise InternalInconsistency(
+            "exponent reduction mod 2^(n-2) disagrees with exact inversion"
+        )
+    return parities
+
+
+def word_mod2(w: UnitWord) -> SpecialCoordsMod2:
+    """Mod-2 class of a real word in the special basis."""
+    return special_mod2_from_parities(w.level, _word_parities(w))
 
 
 def e_membership(w: UnitWord) -> bool:
@@ -177,13 +180,12 @@ def q_power_identities(level: Level) -> dict:
 
         q_half = word_mod2(q_word(level, k, 1) ** half)
 
-        d_mask = pack_bits(seq_d(level, half).mod2_coords())
+        d_mask = pack_bits(seq_d(level, half).coeffs)
         inv_mask = cyc_pow_f2(d_mask, (1 << (n - 1 - k)) - 1, m)
         if cyc_mul_f2(d_mask, inv_mask, m) != 1:
             raise InternalInconsistency("parity-ring inverse of d failed")
-        r_mask = pack_bits(seq_r(level, half).mod2_coords())
-        rhs_mask = 1 ^ cyc_mul_f2(inv_mask, r_mask, m)
-        rhs = special_mod2_from_parities(level, unpack_bits(rhs_mask, m))
+        r_mask = pack_bits(seq_r(level, half).coeffs)
+        rhs = special_mod2_from_parities(level, 1 ^ cyc_mul_f2(inv_mask, r_mask, m))
         checks.append(_check_entry("q_half_power_inverse_form", q_half, rhs, k=k))
 
         rhs = special_mod2(CycInt.one(level) + pk * seq_r(level, half))
@@ -235,14 +237,15 @@ def galois_transport_check(level: Level) -> dict:
     n = level.n
     if n < 5:
         raise LevelTooSmall(f"transport needs a nontrivial A_1 block, n >= 5, got {n}")
-    system = generator_system(level)
+    gens = generator_system(level).sqrt_gens
+    classes = [word_mod2(lw.word) for lw in gens]
     transports = []
     for k in range(n - 3, 0, -1):
         half = 1 << (k - 1)
         base_elem = eval_word(q_word(level, k, 1) ** half)
-        block = [lw for lw in system.sqrt_gens if lw.k == k]
-        for lw in block:
-            lhs = word_mod2(lw.word)
+        for lw, lhs in zip(gens, classes):
+            if lw.k != k:
+                continue
             rhs = special_mod2(base_elem.galois(lw.j))
             transports.append(
                 {
@@ -253,8 +256,8 @@ def galois_transport_check(level: Level) -> dict:
                 }
             )
     table = [
-        {"label": lw.label, "value": word_mod2(lw.word).render()}
-        for lw in system.sqrt_gens
+        {"label": lw.label, "value": value.render()}
+        for lw, value in zip(gens, classes)
     ]
     return {
         "n": n,
@@ -339,9 +342,9 @@ def _coords_structural_check(coords: SpecialCoordsMod2) -> None:
     """Coset-generator classes must be 1 plus terms from s_{2^(n-3)} and
     the r-block; anything else would break the linearization."""
     quarter = 1 << (coords.level.n - 3)
-    if coords.bits[0] != 1:
+    if not coords.mask & 1:
         raise InternalInconsistency("coset generator class has constant term 0")
-    if any(coords.bits[1:quarter]):
+    if coords.mask & ((1 << quarter) - 2):
         raise InternalInconsistency(
             "coset generator class touches a low s-coordinate"
         )
@@ -393,11 +396,9 @@ def verify_main_theorem(level: Level, seed: int = 0) -> Certificate:
     values = []
     masks = []
     for lw in gens:
-        coords = word_mod2(lw.word)
+        mask = _word_parities(lw.word)
+        coords = special_mod2_from_parities(level, mask)
         _coords_structural_check(coords)
-        mask = pack_bits(eval_word(lw.word).mod2_coords())
-        if special_mod2_from_parities(level, unpack_bits(mask, m)) != coords:
-            raise InternalInconsistency("parity mask disagrees with B-coordinates")
         values.append(Mod2WordValue(lw.word, coords))
         masks.append(mask)
 
@@ -407,8 +408,7 @@ def verify_main_theorem(level: Level, seed: int = 0) -> Certificate:
     for p in range(1, coord_count):
         row = 0
         for i, value in enumerate(values):
-            if value.coords.bits[p]:
-                row |= 1 << i
+            row |= ((value.coords.mask >> p) & 1) << i
         rows.append(row)
         row_labels.append(values[0].coords.position_label(p))
     rank = gf2_rank([r for r in rows if r])
@@ -465,8 +465,7 @@ def verify_main_theorem(level: Level, seed: int = 0) -> Certificate:
             p = quarter + t
             sub = 0
             for col, i in enumerate(block):
-                if values[i].coords.bits[p]:
-                    sub |= 1 << col
+                sub |= ((values[i].coords.mask >> p) & 1) << col
             sub_rows.append(sub)
             sub_row_labels.append(f"r_{t}")
         sub_rank = gf2_rank([r for r in sub_rows if r])

@@ -188,60 +188,46 @@ class CycInt:
         """
         return self.level.degree * self.coeffs[0]
 
-    def _conjugate_pair_descend(self) -> CycInt:
-        """Multiply by the conjugate fixing the index-2 subfield and compress.
+    def _descend(self) -> tuple[CycInt, CycInt]:
+        """(c, p) with p = self * c, one step down the subfield tower.
 
-        The automorphism alpha -> alpha^(2^(n-1)+1) = -alpha generates the
-        Galois group over the subfield generated by alpha^2.  The product
-        a * sigma(a) has only even-exponent coefficients, which drop one
-        level.
+        At n = 3, c is the product of the three nontrivial conjugates and p
+        the rational norm.  Above, c is the image under alpha ->
+        alpha^(2^(n-1)+1) = -alpha, which generates the Galois group over
+        the subfield generated by alpha^2; then p has only even-exponent
+        coefficients and is returned compressed to level n-1.
         """
-        m = self.level.degree
-        twisted = CycInt(
-            self.level,
-            tuple(c if j % 2 == 0 else -c for j, c in enumerate(self.coeffs)),
-        )
-        prod = self * twisted
-        for j in range(1, m, 2):
-            if prod.coeffs[j] != 0:
-                raise InternalInconsistency(
-                    "conjugate pair product has an odd-exponent coefficient"
-                )
-        sub = Level(self.level.n - 1)
-        return CycInt(sub, tuple(prod.coeffs[j] for j in range(0, m, 2)))
+        if self.level.n == 3:
+            cofactor = self.galois(3) * self.galois(5) * self.galois(7)
+            prod = self * cofactor
+            if not prod.is_rational():
+                raise InternalInconsistency("conjugate product is not rational")
+            return cofactor, prod
+        cofactor = self.galois(self.level.degree + 1)
+        prod = self * cofactor
+        if any(prod.coeffs[1::2]):
+            raise InternalInconsistency(
+                "conjugate pair product has an odd-exponent coefficient"
+            )
+        return cofactor, CycInt(Level(self.level.n - 1), prod.coeffs[::2])
 
     def norm(self) -> int:
         """Product of all 2^(n-1) Galois conjugates, a rational integer."""
-        if self.level.n == 3:
-            prod = self * self.galois(3) * self.galois(5) * self.galois(7)
-            if not prod.is_rational():
-                raise InternalInconsistency("conjugate product is not rational")
-            return prod.coeffs[0]
-        return self._conjugate_pair_descend().norm()
+        _, prod = self._descend()
+        return prod.coeffs[0] if self.level.n == 3 else prod.norm()
 
     def invert_unit(self) -> CycInt:
         """Inverse of a unit, computed as conjugate product over the norm."""
+        cofactor, prod = self._descend()
         if self.level.n == 3:
-            partial = self.galois(3) * self.galois(5) * self.galois(7)
-            check = self * partial
-            if not check.is_rational():
-                raise InternalInconsistency("conjugate product is not rational")
-            nrm = check.coeffs[0]
-            if nrm == 1:
-                return partial
-            if nrm == -1:
-                return -partial
-            raise NotAUnit(f"norm is {nrm}, not +-1")
-        m = self.level.degree
-        twisted = CycInt(
-            self.level,
-            tuple(c if j % 2 == 0 else -c for j, c in enumerate(self.coeffs)),
-        )
-        sub_inverse = self._conjugate_pair_descend().invert_unit()
-        lifted = [0] * m
-        for j, c in enumerate(sub_inverse.coeffs):
-            lifted[2 * j] = c
-        return twisted * CycInt(self.level, tuple(lifted))
+            nrm = prod.coeffs[0]
+            if nrm not in (1, -1):
+                raise NotAUnit(f"norm is {nrm}, not +-1")
+            return nrm * cofactor
+        sub_inverse = prod.invert_unit()
+        lifted = [0] * self.level.degree
+        lifted[::2] = sub_inverse.coeffs
+        return cofactor * CycInt(self.level, tuple(lifted))
 
     # ------------------------------------------------------------------ #
     # reductions and predicates

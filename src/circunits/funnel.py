@@ -23,8 +23,6 @@ __all__ = [
     "build_partition",
     "q_word",
     "generator_system",
-    "f_generators",
-    "sqrt_over_f_generators",
 ]
 
 
@@ -57,16 +55,15 @@ def build_partition(level: Level) -> FunnelPartition:
 def q_word(level: Level, k: int, j: int) -> UnitWord:
     """The word d_j^(-1) d_{2^(n-1-k)-j}.
 
-    For k = 0 the index j runs over A_0 without 1; for k >= 1 over A_k.
+    For k = 0 the index j runs over A_0 without 1; for k >= 1 over A_k,
+    the odd indices below 2^(n-2-k).
     """
     n = level.n
-    partition = build_partition(level)
+    if n < 4:
+        raise LevelTooSmall(f"funnel partitions need n >= 4, got {n}")
     if not 0 <= k <= n - 3:
         raise IndexNotInPartition(f"funnel step k must lie in 0..{n - 3}, got {k}")
-    allowed = set(partition.A_sets[k])
-    if k == 0:
-        allowed.discard(1)
-    if j not in allowed:
+    if j % 2 == 0 or not 1 <= j < 1 << (n - 2 - k) or (k == 0 and j == 1):
         raise IndexNotInPartition(
             f"index {j} not admissible for q({k}, .) at n={n}"
         )
@@ -140,13 +137,3 @@ def generator_system(level: Level) -> GeneratorSystem:
     for k in range(n - 3, 0, -1):
         sqrt_gens.extend(_q_block(level, k, 1 << (k - 1)))
     return GeneratorSystem(level, tuple(f_gens), tuple(sqrt_gens))
-
-
-def f_generators(level: Level) -> GeneratorSystem:
-    """Generator system of F (see GeneratorSystem.f_gens)."""
-    return generator_system(level)
-
-
-def sqrt_over_f_generators(level: Level) -> GeneratorSystem:
-    """Coset generator system of sqrt(F)/F (see GeneratorSystem.sqrt_gens)."""
-    return generator_system(level)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 __all__ = [
     "gf2_rank",
-    "gf2_rank_nullity",
     "gf2_rref",
     "pack_bits",
     "unpack_bits",
@@ -21,7 +20,7 @@ __all__ = [
 
 
 def pack_bits(bits) -> int:
-    """Pack an iterable of 0/1 into an int, bit i = bits[i]."""
+    """Pack the parities of an iterable of ints into an int, bit i = bits[i] & 1."""
     value = 0
     for i, b in enumerate(bits):
         if b & 1:
@@ -55,11 +54,6 @@ def gf2_rref(rows: list[int]) -> list[int]:
 
 def gf2_rank(rows: list[int]) -> int:
     return len(gf2_rref(rows))
-
-
-def gf2_rank_nullity(rows: list[int], n_cols: int) -> tuple[int, int]:
-    rank = gf2_rank(rows)
-    return rank, n_cols - rank
 
 
 # ---------------------------------------------------------------------- #

@@ -11,14 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .circular_units import UnitWord, eval_word
+from .circular_units import eval_word
 from .cyclotomic import CycInt, Level
 from .errors import LevelMismatch, LevelTooSmall, NotAUnit, NotIntegral
 from .funnel import generator_system
 
 __all__ = [
     "GroupRingElt",
-    "AdmissibleUnit",
     "V1Report",
     "u_chi1",
     "is_admissible",
@@ -65,14 +64,6 @@ class GroupRingElt:
 
     def to_json_dict(self) -> dict:
         return {"n": self.level.n, "coeffs": [str(c) for c in self.coeffs]}
-
-
-@dataclass(frozen=True, slots=True)
-class AdmissibleUnit:
-    """A real unit congruent to 1 mod 2, with optional word provenance."""
-
-    beta: CycInt
-    word: UnitWord | None = None
 
 
 def gr_mul(a: GroupRingElt, b: GroupRingElt) -> GroupRingElt:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 from .cyclotomic import CycInt, Level
 from .errors import InternalInconsistency, NotReal
+from .gf2 import pack_bits
 
 __all__ = [
     "RealElem",
@@ -138,24 +139,25 @@ def from_special_basis(level: Level, coords: tuple[int, ...]) -> RealElem:
 
 @dataclass(frozen=True, slots=True)
 class SpecialCoordsMod2:
-    """B-coordinates reduced mod 2, as a 0/1 vector of length 2^(n-2)."""
+    """B-coordinates reduced mod 2, packed into an int: bit p is the
+    coordinate at position p, for the 2^(n-2) positions of B."""
 
     level: Level
-    bits: tuple[int, ...]
+    mask: int
 
     def __post_init__(self) -> None:
-        expected = 1 << (self.level.n - 2)
-        if len(self.bits) != expected:
+        width = 1 << (self.level.n - 2)
+        if not 0 <= self.mask < 1 << width:
             raise ValueError(
-                f"need {expected} bits at n={self.level.n}, got {len(self.bits)}"
+                f"need a mask of {width} bits at n={self.level.n}, got {self.mask:#x}"
             )
 
     def is_one(self) -> bool:
         """True iff the class is the class of 1."""
-        return self.bits[0] == 1 and not any(self.bits[1:])
+        return self.mask == 1
 
     def is_zero(self) -> bool:
-        return not any(self.bits)
+        return self.mask == 0
 
     def position_label(self, p: int) -> str:
         quarter = 1 << (self.level.n - 3)
@@ -167,7 +169,9 @@ class SpecialCoordsMod2:
 
     def terms(self) -> tuple[str, ...]:
         return tuple(
-            self.position_label(p) for p, bit in enumerate(self.bits) if bit
+            self.position_label(p)
+            for p in range(self.mask.bit_length())
+            if (self.mask >> p) & 1
         )
 
     def render(self) -> str:
@@ -175,56 +179,46 @@ class SpecialCoordsMod2:
         parts = self.terms()
         return "+".join(parts) if parts else "0"
 
-    def as_int(self) -> int:
-        """Bits packed into an int; bit p is the coordinate at position p."""
-        value = 0
-        for p, bit in enumerate(self.bits):
-            if bit:
-                value |= 1 << p
-        return value
-
     def coords_hex(self) -> str:
-        width = (len(self.bits) + 3) // 4
-        return format(self.as_int(), f"0{width}x")
+        width = ((1 << (self.level.n - 2)) + 3) // 4
+        return format(self.mask, f"0{width}x")
 
     def __add__(self, other: SpecialCoordsMod2) -> SpecialCoordsMod2:
         if self.level != other.level:
             raise ValueError("levels differ")
-        return SpecialCoordsMod2(
-            self.level, tuple(x ^ y for x, y in zip(self.bits, other.bits))
-        )
+        return SpecialCoordsMod2(self.level, self.mask ^ other.mask)
 
 
 def special_mod2(a: CycInt) -> SpecialCoordsMod2:
     """B-coordinates of a real element, reduced mod 2."""
-    coords = to_special_basis(to_s_basis(a))
-    return SpecialCoordsMod2(a.level, tuple(c & 1 for c in coords))
+    if not a.is_real():
+        raise NotReal("element is not fixed by conjugation")
+    return special_mod2_from_parities(a.level, pack_bits(a.coeffs))
 
 
-def special_mod2_from_parities(
-    level: Level, parities: tuple[int, ...]
-) -> SpecialCoordsMod2:
-    """Like special_mod2 but starting from coefficient parities of Z[alpha].
+def special_mod2_from_parities(level: Level, parities: int) -> SpecialCoordsMod2:
+    """B-class of an element of Z[alpha] given by its coefficient parities,
+    packed as an m-bit mask (bit j for alpha^j).
 
     Products computed in the parity ring land here without lifting back to
-    exact integers.  The parity vector must be conjugation-symmetric.
+    exact integers.  The parity mask must be conjugation-symmetric.  The
+    substitution s_{2^(n-2)-t} = r_t - s_t of to_special_basis reads, mod
+    2, as moving bit 2^(n-2)-t to r_t and adding it to s_t.
     """
     m = level.degree
     half = m // 2
-    if len(parities) != m:
-        raise ValueError(f"need {m} parities, got {len(parities)}")
-    if parities[half] & 1 or any(
-        (parities[m - j] ^ parities[j]) & 1 for j in range(1, half)
+    if not 0 <= parities < 1 << m:
+        raise ValueError(f"need a parity mask of {m} bits, got {parities:#x}")
+    if (parities >> half) & 1 or any(
+        ((parities >> (m - j)) ^ (parities >> j)) & 1 for j in range(1, half)
     ):
         raise InternalInconsistency("parity vector is not real mod 2")
     quarter = half // 2
-    b = [p & 1 for p in parities[:half]]
-    out = b[: quarter + 1] + [0] * (quarter - 1)
+    out = parities & ((2 << quarter) - 1)
     for t in range(1, quarter):
-        e = b[2 * quarter - t]
-        out[quarter + t] = e
-        out[t] ^= e
-    return SpecialCoordsMod2(level, tuple(out))
+        if (parities >> (2 * quarter - t)) & 1:
+            out ^= (1 << t) | (1 << (quarter + t))
+    return SpecialCoordsMod2(level, out)
 
 
 def rtilde_member(a: CycInt) -> bool:
@@ -232,9 +226,8 @@ def rtilde_member(a: CycInt) -> bool:
 
     Mod 2 that means the B-support sits entirely in the r-block.
     """
-    coords = special_mod2(a)
     quarter = 1 << (a.level.n - 3)
-    return not any(coords.bits[: quarter + 1])
+    return not special_mod2(a).mask & ((2 << quarter) - 1)
 
 
 # ---------------------------------------------------------------------- #

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from mpmath import cos, fabs, log, matrix, mp, pi, svd_r, workprec
 
 from circunits import (
     CycInt,
@@ -18,7 +19,6 @@ from circunits import (
     eval_p_word,
     eval_word,
     fold_d_index,
-    independence_rank,
     p_word_is_unit,
     p_word_to_unit_word,
     parse_word,
@@ -266,6 +266,26 @@ def test_p_word_conversion_trivial():
 
 # ---------------------------------------------------------------------- #
 # multiplicative independence
+
+
+def independence_rank(level: Level) -> int:
+    """Numeric rank of the log-embedding matrix of the d-generators.
+
+    Singular values below 1e-6 count as zero; computed at 128-bit
+    precision.  Expected value is 2^(n-2)-1.
+    """
+    if level.n > 8:
+        raise ValueError("independence_rank is a desk-scale diagnostic, n <= 8")
+    gens = d_index_set(level)
+    embeddings = tuple(range(1, level.degree, 2))
+    with workprec(128):
+        mat = matrix(len(gens), len(embeddings))
+        for row, j in enumerate(gens):
+            for col, k in enumerate(embeddings):
+                value = 1 + 2 * cos(pi * j * k / level.degree)
+                mat[row, col] = log(fabs(value))
+        singular = svd_r(mat, compute_uv=False)
+        return sum(1 for s in singular if s > mp.mpf("1e-6"))
 
 
 @pytest.mark.parametrize("n,expected", [(3, 1), (4, 3), (5, 7), (6, 15)])

@@ -1,8 +1,11 @@
 """Command-line behavior: exit codes, output shapes, reproducibility."""
 
 import json
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -76,6 +79,17 @@ def test_verify_json_file_reproducible(tmp_path, capsys):
     assert data["odd_r_subsystem"]["full_rank"] is True
 
 
+def test_verify_json_unwritable(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run(capsys, "verify", "--n", "5", "--json", str(target))
+    assert code == 1
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.splitlines()[-1] == (
+        f"usage error: cannot write {target}: No such file or directory"
+    )
+
+
 def test_verify_timing_flag(capsys):
     code, out, _ = run(capsys, "verify", "--n", "4", "--timing")
     assert code == 0
@@ -100,6 +114,12 @@ def test_tables_json(tmp_path, capsys):
     data = json.loads(target.read_text())
     assert data["r_table"] == ["0", "r_1", "0", "r_1"]
     assert len(data["s_table"]) == 8
+
+
+def test_tables_json_unwritable(tmp_path, capsys):
+    code, _, err = run(capsys, "tables", "--n", "4", "--json", str(tmp_path))
+    assert code == 1
+    assert err.splitlines() == [f"usage error: cannot write {tmp_path}: Is a directory"]
 
 
 # ---------------------------------------------------------------------- #
@@ -202,3 +222,29 @@ def test_console_script_installed():
     )
     assert result.returncode == 0
     assert "0 r_1 r_2 r_3 0 r_3 r_2 r_1" in result.stdout
+
+
+_WITHOUT_MPMATH = """
+import sys
+sys.modules["mpmath"] = None
+from circunits.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["verify", "--n", "5"], ["unit", "--n", "5", "--word", "d3^-2 * d5^2"]],
+)
+def test_runs_without_mpmath(argv):
+    """The package has no runtime dependency; mpmath serves only the tests."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    result = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_MPMATH, *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr

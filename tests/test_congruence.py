@@ -250,4 +250,4 @@ def test_verify_rows_encode_generator_coords():
     for i, value in enumerate(cert.generators):
         for p in range(1, 8):
             bit = (cert.system.rows[p - 1] >> i) & 1
-            assert bit == value.coords.bits[p]
+            assert bit == (value.coords.mask >> p) & 1

@@ -1,15 +1,12 @@
-"""Bitset GF(2) helpers and the integer row-lattice utilities.
+"""Bitset GF(2) helpers and the parity ring Z[alpha]/2.
 
-Oracles: brute-force span enumeration for GF(2) rank, parity of exact
-ring products for the F2 cyclic helpers, bounded combination search for
-lattice membership, and sympy's Smith normal form for diagonals.
+Oracles: brute-force span enumeration for GF(2) rank and parity of exact
+ring products for the F2 cyclic helpers.
 """
 
 import random
 
 import pytest
-from sympy import Matrix
-from sympy.matrices.normalforms import smith_normal_form
 
 from circunits import CycInt, Level
 from circunits.gf2 import (
@@ -17,17 +14,9 @@ from circunits.gf2 import (
     cyc_pow_f2,
     cyc_square_f2,
     gf2_rank,
-    gf2_rank_nullity,
     gf2_rref,
     pack_bits,
     unpack_bits,
-)
-from circunits.intlattice import (
-    lattice_contains,
-    lattice_index_in_ambient,
-    lattice_rank,
-    row_lattice_basis,
-    smith_diagonal,
 )
 
 
@@ -52,6 +41,8 @@ def test_pack_unpack():
     assert unpack_bits(0b1101, 4) == (1, 0, 1, 1)
     assert unpack_bits(0, 3) == (0, 0, 0)
     assert pack_bits(()) == 0
+    # signed coefficients pack by parity, as special_mod2 relies on
+    assert pack_bits((3, -2, -1, 0)) == 0b0101
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -72,13 +63,6 @@ def test_rref_is_canonical():
     pivots = [r.bit_length() for r in reduced]
     assert pivots == sorted(pivots, reverse=True)
     assert len(set(pivots)) == len(pivots)
-
-
-def test_rank_nullity():
-    rank, nullity = gf2_rank_nullity([0b11, 0b10], 4)
-    assert rank == 2 and nullity == 2
-    rank, nullity = gf2_rank_nullity([], 3)
-    assert rank == 0 and nullity == 3
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -108,87 +92,3 @@ def test_cyc_square_and_pow_f2(seed):
     with pytest.raises(ValueError):
         cyc_pow_f2(mask, -1, m)
 
-
-# ---------------------------------------------------------------------- #
-# integer lattices
-
-
-def combinations_contain(basis, vec, bound=6):
-    """Oracle: search small integer combinations of the basis rows."""
-    if not basis:
-        return all(x == 0 for x in vec)
-
-    def rec(i, current):
-        if i == len(basis):
-            return list(current) == list(vec)
-        for c in range(-bound, bound + 1):
-            nxt = [x + c * y for x, y in zip(current, basis[i])]
-            if rec(i + 1, nxt):
-                return True
-        return False
-
-    return rec(0, [0] * len(vec))
-
-
-@pytest.mark.parametrize("seed", range(5))
-def test_lattice_membership_against_search(seed):
-    rng = random.Random(seed)
-    rows = [
-        [rng.randint(-3, 3) for _ in range(3)]
-        for _ in range(3)
-    ]
-    basis = row_lattice_basis(rows)
-    for _ in range(8):
-        vec = [rng.randint(-5, 5) for _ in range(3)]
-        got = lattice_contains(basis, vec)
-        expected = combinations_contain(basis, vec)
-        assert got == expected, (basis, vec)
-
-
-def test_lattice_membership_of_generators():
-    rng = random.Random(42)
-    rows = [[rng.randint(-4, 4) for _ in range(4)] for _ in range(5)]
-    basis = row_lattice_basis(rows)
-    for r in rows:
-        assert lattice_contains(basis, r)
-    combo = [
-        3 * a - 2 * b for a, b in zip(rows[0], rows[3])
-    ]
-    assert lattice_contains(basis, combo)
-
-
-def test_lattice_basis_is_deterministic_hnf():
-    rows = [[2, 1, 0], [0, 3, 1], [4, 0, 2]]
-    basis1 = row_lattice_basis(rows)
-    basis2 = row_lattice_basis(list(reversed(rows)))
-    assert basis1 == basis2
-    for row in basis1:
-        pivot = next(x for x in row if x)
-        assert pivot > 0
-
-
-def test_lattice_rank_and_index():
-    basis = row_lattice_basis([[2, 0], [0, 3]])
-    assert lattice_rank(basis) == 2
-    assert lattice_index_in_ambient(basis, 2) == 6
-    degenerate = row_lattice_basis([[1, 1], [2, 2]])
-    assert lattice_rank(degenerate) == 1
-    assert lattice_index_in_ambient(degenerate, 2) == 0
-
-
-@pytest.mark.parametrize("seed", range(5))
-def test_smith_diagonal_against_sympy(seed):
-    rng = random.Random(seed)
-    size = rng.randint(2, 4)
-    rows = [[rng.randint(-5, 5) for _ in range(size)] for _ in range(size)]
-    mine = smith_diagonal(rows)
-    ref = smith_normal_form(Matrix(rows))
-    ref_diag = [abs(ref[i, i]) for i in range(min(size, size))]
-    assert [abs(x) for x in mine] == ref_diag
-
-
-def test_smith_diagonal_divisibility_chain():
-    diag = smith_diagonal([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
-    nonzero = [abs(d) for d in diag if d]
-    for a, b in zip(nonzero, nonzero[1:]):
-        assert b % a == 0

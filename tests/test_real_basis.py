@@ -27,6 +27,7 @@ from circunits import (
     to_special_basis,
 )
 from circunits.errors import InternalInconsistency
+from circunits.gf2 import pack_bits
 from circunits.real_basis import SpecialCoordsMod2, special_mod2_from_parities
 
 
@@ -66,15 +67,15 @@ def parities(a: CycInt) -> tuple:
 def coords_from_terms(lv: Level, terms) -> SpecialCoordsMod2:
     """Build a mod-2 B-class from tokens like '1', 's_3', 'r_2'."""
     q = 1 << (lv.n - 3)
-    bits = [0] * (1 << (lv.n - 2))
+    mask = 0
     for term in terms:
         if term == "1":
-            bits[0] ^= 1
+            mask ^= 1
         elif term.startswith("s_"):
-            bits[int(term[2:])] ^= 1
+            mask ^= 1 << int(term[2:])
         else:
-            bits[q + int(term[2:])] ^= 1
-    return SpecialCoordsMod2(lv, tuple(bits))
+            mask ^= 1 << (q + int(term[2:]))
+    return SpecialCoordsMod2(lv, mask)
 
 
 # ---------------------------------------------------------------------- #
@@ -141,6 +142,9 @@ def test_s_basis_rejects_non_real():
         to_s_basis(CycInt.monomial(lv, 1))
     with pytest.raises(NotReal):
         to_s_basis(CycInt.monomial(lv, lv.degree // 2))
+    # 2*alpha is real mod 2, so only the exact check can reject it
+    with pytest.raises(NotReal):
+        special_mod2(CycInt.monomial(lv, 1, 2))
 
 
 def test_real_elem_length_checked():
@@ -211,10 +215,12 @@ def test_special_mod2_rendering():
 def test_special_mod2_packing():
     lv = Level(4)
     cls = special_mod2(CycInt.one(lv) + seq_r(lv, 1))
-    assert cls.as_int() == 0b1001
+    assert cls.mask == 0b1001
     assert cls.coords_hex() == "9"
     total = cls + cls
     assert total.is_zero()
+    with pytest.raises(ValueError):
+        SpecialCoordsMod2(lv, 1 << 4)  # n = 4 has only 4 B-positions
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -223,17 +229,19 @@ def test_special_mod2_from_parities_agrees(seed):
     for n in (4, 5, 6):
         lv = Level(n)
         size = 1 << (n - 2)
-        a = RealElem(
-            lv, tuple(rng.randint(-9, 9) for _ in range(size))
-        ).to_cyc()
-        assert special_mod2_from_parities(lv, a.mod2_coords()) == special_mod2(a)
+        a = RealElem(lv, tuple(rng.randint(-9, 9) for _ in range(size))).to_cyc()
+        exact = pack_bits(to_special_basis(to_s_basis(a)))
+        assert special_mod2_from_parities(lv, pack_bits(a.coeffs)).mask == exact
+        assert special_mod2(a).mask == exact
 
 
 def test_special_mod2_from_parities_rejects_non_real():
     lv = Level(4)
-    bad = CycInt.monomial(lv, 1).mod2_coords()
+    bad = pack_bits(CycInt.monomial(lv, 1).coeffs)
     with pytest.raises(InternalInconsistency):
         special_mod2_from_parities(lv, bad)
+    with pytest.raises(ValueError):
+        special_mod2_from_parities(lv, 1 << lv.degree)
 
 
 # ---------------------------------------------------------------------- #
