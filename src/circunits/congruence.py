@@ -1,16 +1,16 @@
 """Mod-2 congruence calculus on unit words and the main-theorem verifier.
 
-A word w in the d-generators has a mod-2 class in the special basis B.
-The subgroup E consists of the words congruent to 1.  The verifier shows
-that no nontrivial product of sqrt(F)/F coset generators lands in E, in
-two independent ways: exhaustive multiplication over all exponent patterns
-and a linearized GF(2) system.  Their agreement is itself a checked claim,
-because the linearization leans on the square-zero shape of the r-block.
+A word w in the d-generators has a mod-2 class in the special basis B,
+computed in the parity ring Z[alpha]/2.  The subgroup E consists of the
+words congruent to 1.  The verifier proves at every n that no nontrivial
+product of sqrt(F)/F coset generators lands in E, by a checked square-zero
+lemma: the classes lie in 1 + V, and V*V = 0 mod 2 for V = span(s_q, r_1,
+..., r_{q-1}), q = 2^(n-3), so the GF(2) system linearizing the products
+is exact.
 """
 
 from __future__ import annotations
 
-import random
 import time
 from dataclasses import dataclass
 
@@ -35,6 +35,7 @@ from .real_basis import (
     SpecialCoordsMod2,
     seq_d,
     seq_r,
+    seq_s,
     special_mod2,
     special_mod2_from_parities,
 )
@@ -51,15 +52,13 @@ __all__ = [
     "q_power_identities",
     "galois_transport_check",
     "verify_main_theorem",
-    "EXHAUSTIVE_CAP",
+    "WALK_GENERATORS",
 ]
 
-# Exhaustive enumeration runs when the number of coset generators g
-# satisfies 2^g <= this cap; larger systems get the linearized route with
-# random spot checks.
-EXHAUSTIVE_CAP = 1 << 16
-
-SPOT_CHECKS = 1000
+# The Gray-code walk covers the first 16 coset generators (all for n <= 7);
+# up to n = 7 every class is also recomputed by exact evaluation.
+WALK_GENERATORS = 16
+EXACT_CHECK_MAX_N = 7
 
 
 @dataclass(frozen=True, slots=True)
@@ -71,25 +70,28 @@ class Mod2WordValue:
 
 
 def _word_parities(w: UnitWord) -> int:
-    """Coefficient parities of a real word, as an m-bit mask.
+    """Coefficient parities of a real word, as an m-bit mask, computed in
+    the parity ring Z[alpha]/2.
 
-    Negative exponents are lifted by reducing every exponent mod 2^(n-2),
-    which is valid because each d_j has order dividing 2^(n-2) mod 2.  The
-    same parities are recomputed through exact unit inversion; a mismatch
-    would mean the order fact failed and is reported loudly.
+    Every exponent is reduced mod 2^(n-2), which lifts negative exponents
+    without exact inversion.  The reduction is valid because d_j has order
+    dividing 2^(n-2) mod 2; that premise is checked for each index used.
     """
     if not w.is_real():
         raise NonRealWord(
             f"word has alpha exponent {w.alpha_exp}; no real coordinates"
         )
-    period = 1 << (w.level.n - 2)
-    reduced_exps = {j: e % period for j, e in w.d_exps}
-    reduced = UnitWord.make(w.level, 0, reduced_exps)
-    parities = pack_bits(eval_word(reduced).coeffs)
-    if reduced != w and pack_bits(eval_word(w).coeffs) != parities:
-        raise InternalInconsistency(
-            "exponent reduction mod 2^(n-2) disagrees with exact inversion"
-        )
+    level = w.level
+    m = level.degree
+    period = 1 << (level.n - 2)
+    parities = 1
+    for j, e in w.d_exps:
+        d_mask = pack_bits(seq_d(level, j).coeffs)
+        if cyc_pow_f2(d_mask, period, m) != 1:
+            raise InternalInconsistency(
+                f"d_{j} does not have order dividing 2^(n-2) mod 2"
+            )
+        parities = cyc_mul_f2(cyc_pow_f2(d_mask, e % period, m), parities, m)
     return parities
 
 
@@ -295,12 +297,10 @@ class Certificate:
     generator_labels: tuple[str, ...]
     system: F2System
     method: str
-    exhaustive_assignments: int | None
-    exhaustive_kernel_size: int | None
-    spot_checks: int | None
+    exhaustive_assignments: int
+    exhaustive_kernel_size: int
     odd_r_subsystem: dict | None
     trivial_only: bool
-    exploratory: bool
     elapsed_ms: float
 
     def to_json_dict(self, include_timing: bool = False) -> dict:
@@ -310,7 +310,6 @@ class Certificate:
             "n": self.level.n,
             "tool_version": TOOL_VERSION,
             "method": self.method,
-            "exploratory": self.exploratory,
             "generators": [
                 {
                     "label": label,
@@ -326,12 +325,9 @@ class Certificate:
             "rank": self.system.rank,
             "nullity": self.system.nullity,
             "verdict": "trivial_only" if self.trivial_only else "kernel_nontrivial",
+            "exhaustive_assignments": self.exhaustive_assignments,
+            "exhaustive_kernel_size": self.exhaustive_kernel_size,
         }
-        if self.exhaustive_assignments is not None:
-            data["exhaustive_assignments"] = self.exhaustive_assignments
-            data["exhaustive_kernel_size"] = self.exhaustive_kernel_size
-        if self.spot_checks is not None:
-            data["spot_checks"] = self.spot_checks
         if self.odd_r_subsystem is not None:
             data["odd_r_subsystem"] = self.odd_r_subsystem
         data["elapsed_ms"] = round(self.elapsed_ms, 3) if include_timing else 0
@@ -348,6 +344,22 @@ def _coords_structural_check(coords: SpecialCoordsMod2) -> None:
         raise InternalInconsistency(
             "coset generator class touches a low s-coordinate"
         )
+
+
+def _square_zero_check(level: Level) -> None:
+    """Check the square-zero lemma: every product of two of s_q, r_1, ...,
+    r_{q-1} (q = 2^(n-3)) is 0 mod 2."""
+    m = level.degree
+    quarter = 1 << (level.n - 3)
+    basis = [pack_bits(seq_s(level, quarter).coeffs)]
+    basis += [pack_bits(seq_r(level, t).coeffs) for t in range(1, quarter)]
+    for i, x in enumerate(basis):
+        for y in basis[i:]:
+            if cyc_mul_f2(x, y, m):
+                raise InternalInconsistency(
+                    "square-zero lemma fails: a product of two basis "
+                    "elements of the coset-class span is nonzero mod 2"
+                )
 
 
 def _gray_exhaustive(masks: list[int], m: int) -> tuple[int, int]:
@@ -377,12 +389,14 @@ def _gray_exhaustive(masks: list[int], m: int) -> tuple[int, int]:
     return 1 << g, hits
 
 
-def verify_main_theorem(level: Level, seed: int = 0) -> Certificate:
+def verify_main_theorem(level: Level) -> Certificate:
     """Decide whether only the trivial coset product is congruent to 1.
 
-    Two routes must agree: exact multiplication over every exponent
-    pattern (when 2^g fits the cap) and the linearized GF(2) system.  A
-    true verdict here pins the intersection of sqrt(F) with E to F.
+    The classes are 1 + x_i with x_i in V, and the square-zero lemma V*V = 0
+    mod 2 is checked here, so prod (1 + x_i)^(delta_i) = 1 + sum delta_i x_i
+    and nullity 0 of the linearized system is a proof at every n.  The Gray
+    walk over the first WALK_GENERATORS generators must agree with it.  A
+    true verdict pins the intersection of sqrt(F) with E to F.
     """
     n = level.n
     if n < 4:
@@ -398,6 +412,10 @@ def verify_main_theorem(level: Level, seed: int = 0) -> Certificate:
     for lw in gens:
         mask = _word_parities(lw.word)
         coords = special_mod2_from_parities(level, mask)
+        if n <= EXACT_CHECK_MAX_N and special_mod2(eval_word(lw.word)) != coords:
+            raise InternalInconsistency(
+                f"{lw.label}: parity-ring class disagrees with exact evaluation"
+            )
         _coords_structural_check(coords)
         values.append(Mod2WordValue(lw.word, coords))
         masks.append(mask)
@@ -423,37 +441,18 @@ def verify_main_theorem(level: Level, seed: int = 0) -> Certificate:
         trivial_only=(nullity == 0),
     )
 
-    exhaustive_assignments = None
-    kernel_size = None
-    spot_checks = None
-    if (1 << g) <= EXHAUSTIVE_CAP:
-        method = "exhaustive+linearized"
-        exhaustive_assignments, kernel_size = _gray_exhaustive(masks, m)
-        if kernel_size != (1 << nullity):
-            raise DisagreementError(
-                f"exhaustive kernel has {kernel_size} elements, linearized "
-                f"system predicts {1 << nullity}"
-            )
-    else:
-        method = "linearized+spotcheck"
-        rng = random.Random(seed)
-        spot_checks = SPOT_CHECKS
-        nonzero_rows = [r for r in rows if r]
-        for _ in range(SPOT_CHECKS):
-            delta = rng.randrange(1, 1 << g)
-            predicted_one = all(
-                (row & delta).bit_count() % 2 == 0 for row in nonzero_rows
-            )
-            product = 1
-            d = delta
-            while d:
-                i = (d & -d).bit_length() - 1
-                product = cyc_mul_f2(product, masks[i], m)
-                d &= d - 1
-            if (product == 1) != predicted_one:
-                raise DisagreementError(
-                    "random spot check contradicts the linearized system"
-                )
+    _square_zero_check(level)
+
+    walked = min(g, WALK_GENERATORS)
+    exhaustive_assignments, kernel_size = _gray_exhaustive(masks[:walked], m)
+    walked_cols = (1 << walked) - 1
+    walk_nullity = walked - gf2_rank([r & walked_cols for r in rows])
+    if kernel_size != (1 << walk_nullity):
+        raise DisagreementError(
+            f"exhaustive kernel has {kernel_size} elements, linearized "
+            f"system predicts {1 << walk_nullity}"
+        )
+    method = "exhaustive+linearized" if walked == g else "square-zero+linearized"
 
     odd_r = None
     if n >= 5:
@@ -491,9 +490,7 @@ def verify_main_theorem(level: Level, seed: int = 0) -> Certificate:
         method=method,
         exhaustive_assignments=exhaustive_assignments,
         exhaustive_kernel_size=kernel_size,
-        spot_checks=spot_checks,
         odd_r_subsystem=odd_r,
         trivial_only=f2.trivial_only,
-        exploratory=n >= 8,
         elapsed_ms=elapsed_ms,
     )

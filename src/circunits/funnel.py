@@ -105,8 +105,8 @@ def _head(level: Level, exponent: int) -> LabeledWord:
     )
 
 
-def _q_block(level: Level, k: int, exponent: int) -> list[LabeledWord]:
-    partition = build_partition(level)
+def _q_block(partition: FunnelPartition, k: int, exponent: int) -> list[LabeledWord]:
+    level = partition.level
     indices = partition.A_sets[k] if k >= 1 else partition.A_sets[0][1:]
     out = []
     for j in indices:
@@ -129,11 +129,12 @@ def generator_system(level: Level) -> GeneratorSystem:
     n = level.n
     if n < 4:
         raise LevelTooSmall(f"generator systems need n >= 4, got {n}")
+    partition = build_partition(level)
     f_gens: list[LabeledWord] = [_head(level, 1 << (n - 2))]
     for k in range(n - 3, 0, -1):
-        f_gens.extend(_q_block(level, k, 1 << k))
-    f_gens.extend(_q_block(level, 0, 1))
+        f_gens.extend(_q_block(partition, k, 1 << k))
+    f_gens.extend(_q_block(partition, 0, 1))
     sqrt_gens: list[LabeledWord] = [_head(level, 1 << (n - 3))]
     for k in range(n - 3, 0, -1):
-        sqrt_gens.extend(_q_block(level, k, 1 << (k - 1)))
+        sqrt_gens.extend(_q_block(partition, k, 1 << (k - 1)))
     return GeneratorSystem(level, tuple(f_gens), tuple(sqrt_gens))

@@ -61,14 +61,13 @@ def gf2_rank(rows: list[int]) -> int:
 
 
 def cyc_mul_f2(a: int, b: int, m: int) -> int:
-    """Product of two mod-2 classes packed as m-bit masks."""
+    """Product of two mod-2 classes packed as m-bit masks; the loop runs
+    over the set bits of a, so pass the sparser operand first."""
     acc = 0
-    x, shift = a, 0
-    while x:
-        if x & 1:
-            acc ^= b << shift
-        x >>= 1
-        shift += 1
+    while a:
+        low = a & -a
+        acc ^= b << (low.bit_length() - 1)
+        a ^= low
     # one fold suffices: the raw product has fewer than 2m bits
     return (acc ^ (acc >> m)) & ((1 << m) - 1)
 
@@ -76,16 +75,11 @@ def cyc_mul_f2(a: int, b: int, m: int) -> int:
 def cyc_square_f2(a: int, m: int) -> int:
     """Squaring mod 2 doubles each exponent (the Frobenius map)."""
     acc = 0
-    j = 0
-    x = a
-    while x:
-        if x & 1:
-            e = 2 * j
-            if e >= m:
-                e -= m
-            acc ^= 1 << e
-        x >>= 1
-        j += 1
+    while a:
+        low = a & -a
+        e = 2 * (low.bit_length() - 1)
+        acc ^= 1 << (e - m if e >= m else e)
+        a ^= low
     return acc
 
 
@@ -97,7 +91,8 @@ def cyc_pow_f2(a: int, exponent: int, m: int) -> int:
     e = exponent
     while e:
         if e & 1:
-            result = cyc_mul_f2(result, base, m)
+            # squaring never adds terms, so base is at most as dense as a
+            result = cyc_mul_f2(base, result, m)
         base = cyc_square_f2(base, m)
         e >>= 1
     return result

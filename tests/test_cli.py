@@ -46,19 +46,34 @@ def test_verify_rejects_small_level(capsys):
     assert "usage error" in err
 
 
-def test_verify_large_level_needs_explore(capsys):
-    code, _, err = run(capsys, "verify", "--n", "8")
-    assert code == 1
-    assert "--explore" in err
+def test_verify_large_level(capsys):
+    code, out, err = run(capsys, "verify", "--n", "8")
+    assert code == 0
+    data = json.loads(out)
+    assert data["method"] == "square-zero+linearized"
+    assert data["verdict"] == "trivial_only"
+    assert "exploratory" not in data and "spot_checks" not in data
+    assert "method=square-zero+linearized" in err
 
 
 def test_verify_explore(capsys):
-    code, out, _ = run(capsys, "verify", "--n", "8", "--explore")
+    # the spot-check mode and its options are gone
+    for extra in (["--explore"], ["--seed", "1"]):
+        code, out, err = run(capsys, "verify", "--n", "8", *extra)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("usage error: unrecognized arguments")
+
+
+def test_verify_top_level(capsys):
+    code, out, _ = run(capsys, "verify", "--n", "12")
     assert code == 0
     data = json.loads(out)
-    assert data["exploratory"] is True
-    assert data["method"] == "linearized+spotcheck"
-    assert data["spot_checks"] == 1000
+    assert data["verdict"] == "trivial_only"
+    assert data["method"] == "square-zero+linearized"
+    assert data["rank"] == 512 and data["nullity"] == 0
+    assert data["exhaustive_assignments"] == 1 << 16
+    assert data["exhaustive_kernel_size"] == 1
 
 
 def test_verify_out_of_range_level(capsys):

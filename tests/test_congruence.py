@@ -5,8 +5,8 @@ import random
 import pytest
 
 from circunits import (
-    Certificate,
     DisagreementError,
+    InternalInconsistency,
     Level,
     LevelTooSmall,
     NonRealWord,
@@ -25,6 +25,8 @@ from circunits import (
     verify_main_theorem,
     word_mod2,
 )
+from circunits import congruence
+from circunits.cli import main
 from circunits.errors import IndexOutOfRange
 
 
@@ -55,12 +57,20 @@ def test_word_mod2_rejects_alpha():
 def test_word_mod2_negative_exponents(seed):
     """Exponent lifting must agree with the class of the exact inverse."""
     rng = random.Random(seed)
-    for n in (4, 5):
+    for n in (4, 5, 6, 7, 8):
         lv = Level(n)
         indices = d_index_set(lv)
         exps = {j: rng.randint(-5, 5) for j in rng.sample(indices, 2)}
         w = word(lv, exps)
         assert word_mod2(w) == special_mod2(eval_word(w))
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+def test_coset_generator_classes_match_exact_evaluation(n):
+    """The parity-ring classes against exact Z[alpha] evaluation, one level
+    past the verifier's own exact cross-check."""
+    for lw in generator_system(Level(n)).sqrt_gens:
+        assert word_mod2(lw.word) == special_mod2(eval_word(lw.word)), lw.label
 
 
 def test_word_mod2_matches_direct_class():
@@ -199,8 +209,6 @@ def test_verify_16_in_detail():
     assert cert.system.nullity == 0
     assert cert.generator_labels == ("d_1^2", "q(1,1)")
     assert cert.odd_r_subsystem is None
-    assert not cert.exploratory
-    assert cert.spot_checks is None
 
 
 @pytest.mark.parametrize("n", [5, 6, 7])
@@ -234,15 +242,37 @@ def test_verify_level_gate():
         verify_main_theorem(Level(3))
 
 
-@pytest.mark.parametrize("seed", range(3))
-def test_verify_exploratory_spot_check_path(seed):
-    cert = verify_main_theorem(Level(8), seed=seed)
-    assert cert.method == "linearized+spotcheck"
-    assert cert.exploratory
-    assert cert.spot_checks == 1000
-    assert cert.exhaustive_assignments is None
-    # the verdict out here is observational, but the routes still agreed
-    assert isinstance(cert, Certificate)
+@pytest.mark.parametrize("n", [8, 9, 10])
+def test_verify_square_zero_path(n):
+    # past n = 7 the walk covers the first 16 of 2^(n-3) generators
+    cert = verify_main_theorem(Level(n))
+    assert cert.method == "square-zero+linearized"
+    assert cert.trivial_only
+    assert cert.system.nullity == 0
+    assert cert.exhaustive_assignments == 1 << 16
+    assert cert.exhaustive_kernel_size == 1
+    data = cert.to_json_dict()
+    assert "exploratory" not in data and "spot_checks" not in data
+
+
+def _break_square_zero_lemma(monkeypatch):
+    # d_q = 1 + s_q squares to 1 mod 2, so the lemma must fail on it
+    monkeypatch.setattr(congruence, "seq_s", seq_d)
+
+
+@pytest.mark.parametrize("n", [5, 8])
+def test_verify_detects_broken_square_zero_lemma(n, monkeypatch):
+    _break_square_zero_lemma(monkeypatch)
+    with pytest.raises(InternalInconsistency, match="square-zero"):
+        verify_main_theorem(Level(n))
+
+
+def test_cli_exits_3_on_broken_square_zero_lemma(monkeypatch, capsys):
+    _break_square_zero_lemma(monkeypatch)
+    assert main(["verify", "--n", "8"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "square-zero lemma fails" in captured.err
 
 
 def test_verify_rows_encode_generator_coords():

@@ -1,12 +1,15 @@
 """Bitset GF(2) helpers and the parity ring Z[alpha]/2.
 
-Oracles: brute-force span enumeration for GF(2) rank and parity of exact
-ring products for the F2 cyclic helpers.
+Oracles: brute-force span enumeration for GF(2) rank, a bit-list
+convolution and the parities of exact ring products for the F2 cyclic
+helpers.
 """
 
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from circunits import CycInt, Level
 from circunits.gf2 import (
@@ -92,3 +95,70 @@ def test_cyc_square_and_pow_f2(seed):
     with pytest.raises(ValueError):
         cyc_pow_f2(mask, -1, m)
 
+
+
+# ---------------------------------------------------------------------- #
+# the parity ring against a bit-list reference, m = 4..2048
+
+
+def ref_mul_f2(a: int, b: int, m: int) -> int:
+    """Oracle: negacyclic convolution on bit lists; mod 2 the sign of the
+    wrapped terms vanishes."""
+    a_bits = [i for i in range(m) if (a >> i) & 1]
+    b_bits = [j for j in range(m) if (b >> j) & 1]
+    out = [0] * m
+    for i in a_bits:
+        for j in b_bits:
+            out[(i + j) % m] ^= 1
+    return pack_bits(out)
+
+
+def operands(m: int):
+    """Zero, one bit, the top bit m-1, or a dense mask."""
+    return st.one_of(
+        st.just(0),
+        st.integers(0, m - 1).map(lambda i: 1 << i),
+        st.just(1 << (m - 1)),
+        st.integers(0, (1 << m) - 1),
+    )
+
+
+RING_DEGREES = [1 << k for k in range(2, 12)]
+
+
+@pytest.mark.parametrize("m", RING_DEGREES)
+@settings(derandomize=True, max_examples=12, deadline=None)
+@given(data=st.data())
+def test_cyc_mul_and_square_f2_against_reference(m, data):
+    a, b = data.draw(operands(m)), data.draw(operands(m))
+    expected = ref_mul_f2(a, b, m)
+    assert cyc_mul_f2(a, b, m) == expected
+    assert cyc_mul_f2(b, a, m) == expected
+    assert cyc_square_f2(a, m) == ref_mul_f2(a, a, m)
+
+
+@pytest.mark.parametrize("m", RING_DEGREES)
+@settings(derandomize=True, max_examples=8, deadline=None)
+@given(data=st.data())
+def test_cyc_pow_f2_against_reference(m, data):
+    a = data.draw(operands(m))
+    e = data.draw(st.integers(0, 4))
+    expected = 1
+    for _ in range(e):
+        expected = ref_mul_f2(a, expected, m)
+    assert cyc_pow_f2(a, e, m) == expected
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(data=st.data())
+def test_parity_ring_against_exact_products(n, data):
+    lv = Level(n)
+    m = lv.degree
+    coeffs = st.lists(st.integers(-9, 9), min_size=m, max_size=m).map(tuple)
+    a, b = CycInt(lv, data.draw(coeffs)), CycInt(lv, data.draw(coeffs))
+    e = data.draw(st.integers(0, 9))
+    a_mask, b_mask = pack_bits(a.coeffs), pack_bits(b.coeffs)
+    assert cyc_mul_f2(a_mask, b_mask, m) == pack_bits((a * b).coeffs)
+    assert cyc_square_f2(a_mask, m) == pack_bits((a * a).coeffs)
+    assert cyc_pow_f2(a_mask, e, m) == pack_bits((a**e).coeffs)
