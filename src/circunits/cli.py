@@ -12,9 +12,10 @@ deterministic; timing fields are zeroed unless --timing is given.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
-from typing import Sequence
+from typing import ContextManager, Sequence, TextIO
 
 from .circular_units import eval_word, parse_word
 from .congruence import galois_transport_check, q_power_identities, verify_main_theorem
@@ -45,16 +46,19 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _dump(document, path: str | None) -> None:
-    text = json.dumps(document, indent=2)
+def _open_json(path: str | None) -> ContextManager[TextIO]:
+    """The --json target, opened before any work so that a failed run leaves
+    an empty file rather than a stale document; stdout without --json."""
     if path is None:
-        print(text)
-        return
+        return contextlib.nullcontext(sys.stdout)
     try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        return open(path, "w", encoding="utf-8")
     except OSError as exc:
         raise _UsageError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
+def _dump(document, out: TextIO) -> None:
+    print(json.dumps(document, indent=2), file=out)
 
 
 def _level_arg(n: int) -> Level:
@@ -64,36 +68,39 @@ def _level_arg(n: int) -> Level:
         raise _UsageError(str(exc)) from None
 
 
+def _levels(n: int | None, needs: str) -> list[Level]:
+    """The level given by --n, or the default walk 4..7."""
+    if n is None:
+        return [Level(k) for k in DEFAULT_WALK]
+    level = _level_arg(n)
+    if level.n < 4:
+        raise _UsageError(f"{needs} n >= 4, got {level.n}")
+    return [level]
+
+
 # ---------------------------------------------------------------------- #
 # subcommands
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
-    if args.n is None:
-        ns = list(DEFAULT_WALK)
-    else:
-        level = _level_arg(args.n)
-        if level.n < 4:
-            raise _UsageError(f"verification needs n >= 4, got {level.n}")
-        ns = [level.n]
+def _cmd_verify(args: argparse.Namespace, out: TextIO) -> int:
     certificates = []
     all_trivial = True
-    for n in ns:
-        cert = verify_main_theorem(Level(n))
+    for level in _levels(args.n, "verification needs"):
+        cert = verify_main_theorem(level)
         certificates.append(cert.to_json_dict(include_timing=args.timing))
         all_trivial = all_trivial and cert.trivial_only
         print(
-            f"n={n}: verdict={certificates[-1]['verdict']} "
+            f"n={level.n}: verdict={certificates[-1]['verdict']} "
             f"rank={cert.system.rank} nullity={cert.system.nullity} "
             f"method={cert.method}",
             file=sys.stderr,
         )
     document = certificates[0] if len(certificates) == 1 else certificates
-    _dump(document, args.json)
+    _dump(document, out)
     return 0 if all_trivial else 2
 
 
-def _cmd_tables(args: argparse.Namespace) -> int:
+def _cmd_tables(args: argparse.Namespace, out: TextIO) -> int:
     level = _level_arg(args.n)
     s_tokens = s_table_tokens(level)
     r_tokens = r_table_tokens(level)
@@ -104,7 +111,7 @@ def _cmd_tables(args: argparse.Namespace) -> int:
     if args.json is not None:
         _dump(
             {"n": level.n, "s_table": s_tokens, "r_table": r_tokens},
-            args.json,
+            out,
         )
     return 0
 
@@ -120,7 +127,7 @@ def _labeled_word_dict(lw) -> dict:
     }
 
 
-def _cmd_funnel(args: argparse.Namespace) -> int:
+def _cmd_funnel(args: argparse.Namespace, out: TextIO) -> int:
     level = _level_arg(args.n)
     partition = build_partition(level)
     system = generator_system(level)
@@ -135,11 +142,11 @@ def _cmd_funnel(args: argparse.Namespace) -> int:
             _labeled_word_dict(lw) for lw in system.sqrt_gens
         ],
     }
-    _dump(document, args.json)
+    _dump(document, out)
     return 0
 
 
-def _cmd_unit(args: argparse.Namespace) -> int:
+def _cmd_unit(args: argparse.Namespace, out: TextIO) -> int:
     level = _level_arg(args.n)
     try:
         word = parse_word(level, args.word)
@@ -157,7 +164,7 @@ def _cmd_unit(args: argparse.Namespace) -> int:
                 "error": "NotIntegral",
                 "detail": str(exc),
             },
-            args.json,
+            out,
         )
         return 2
     _dump(
@@ -166,7 +173,7 @@ def _cmd_unit(args: argparse.Namespace) -> int:
             "word": word.render(),
             "gammas": [str(c) for c in image.coeffs],
         },
-        args.json,
+        out,
     )
     return 0
 
@@ -178,18 +185,11 @@ def _print_check_lines(n: int, checks: Sequence[dict]) -> None:
         print(f"[n={n}] {status} {c['name']}{where}: {c['lhs']} == {c['rhs']}")
 
 
-def _cmd_identities(args: argparse.Namespace) -> int:
-    if args.n is None:
-        ns = list(DEFAULT_WALK)
-    else:
-        level = _level_arg(args.n)
-        if level.n < 4:
-            raise _UsageError(f"identity reports need n >= 4, got {level.n}")
-        ns = [level.n]
+def _cmd_identities(args: argparse.Namespace, out: TextIO) -> int:
     reports = []
     ok = True
-    for n in ns:
-        level = Level(n)
+    for level in _levels(args.n, "identity reports need"):
+        n = level.n
         power_report = q_power_identities(level)
         _print_check_lines(n, power_report["checks"])
         ok = ok and power_report["all_passed"]
@@ -204,7 +204,7 @@ def _cmd_identities(args: argparse.Namespace) -> int:
             {"n": n, "q_power": power_report, "transport": transport_report}
         )
     if args.json is not None:
-        _dump(reports if len(reports) > 1 else reports[0], args.json)
+        _dump(reports if len(reports) > 1 else reports[0], out)
     return 0 if ok else 2
 
 
@@ -259,7 +259,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     try:
-        return args.func(args)
+        with _open_json(args.json) as out:
+            return args.func(args, out)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -24,18 +24,11 @@ from .errors import (
     NonRealWord,
 )
 from .funnel import generator_system, q_word
-from .gf2 import (
-    cyc_mul_f2,
-    cyc_pow_f2,
-    gf2_rank,
-    pack_bits,
-    unpack_bits,
-)
+from .gf2 import cyc_mul_f2, cyc_pow_f2, gf2_rank, unpack_bits
 from .real_basis import (
     SpecialCoordsMod2,
     seq_d,
     seq_r,
-    seq_s,
     special_mod2,
     special_mod2_from_parities,
 )
@@ -69,6 +62,17 @@ class Mod2WordValue:
     coords: SpecialCoordsMod2
 
 
+def _s_mask(level: Level, j: int) -> int:
+    """Parity mask of s_j = alpha^j + alpha^(-j), for any integer j.
+
+    alpha^(+-j) reduces to +-alpha^(+-j mod m), so the two bits cancel
+    exactly when j = -j mod m.  The mask of d_j is 1 ^ s_j and that of r_t
+    is s_t ^ s_(2^(n-2)-t).
+    """
+    m = level.degree
+    return (1 << j % m) ^ (1 << -j % m)
+
+
 def _word_parities(w: UnitWord) -> int:
     """Coefficient parities of a real word, as an m-bit mask, computed in
     the parity ring Z[alpha]/2.
@@ -86,7 +90,7 @@ def _word_parities(w: UnitWord) -> int:
     period = 1 << (level.n - 2)
     parities = 1
     for j, e in w.d_exps:
-        d_mask = pack_bits(seq_d(level, j).coeffs)
+        d_mask = 1 ^ _s_mask(level, j)
         if cyc_pow_f2(d_mask, period, m) != 1:
             raise InternalInconsistency(
                 f"d_{j} does not have order dividing 2^(n-2) mod 2"
@@ -182,11 +186,11 @@ def q_power_identities(level: Level) -> dict:
 
         q_half = word_mod2(q_word(level, k, 1) ** half)
 
-        d_mask = pack_bits(seq_d(level, half).coeffs)
+        d_mask = 1 ^ _s_mask(level, half)
         inv_mask = cyc_pow_f2(d_mask, (1 << (n - 1 - k)) - 1, m)
         if cyc_mul_f2(d_mask, inv_mask, m) != 1:
             raise InternalInconsistency("parity-ring inverse of d failed")
-        r_mask = pack_bits(seq_r(level, half).coeffs)
+        r_mask = _s_mask(level, half) ^ _s_mask(level, 2 * quarter - half)
         rhs = special_mod2_from_parities(level, 1 ^ cyc_mul_f2(inv_mask, r_mask, m))
         checks.append(_check_entry("q_half_power_inverse_form", q_half, rhs, k=k))
 
@@ -351,8 +355,10 @@ def _square_zero_check(level: Level) -> None:
     r_{q-1} (q = 2^(n-3)) is 0 mod 2."""
     m = level.degree
     quarter = 1 << (level.n - 3)
-    basis = [pack_bits(seq_s(level, quarter).coeffs)]
-    basis += [pack_bits(seq_r(level, t).coeffs) for t in range(1, quarter)]
+    basis = [_s_mask(level, quarter)]
+    basis += [
+        _s_mask(level, t) ^ _s_mask(level, 2 * quarter - t) for t in range(1, quarter)
+    ]
     for i, x in enumerate(basis):
         for y in basis[i:]:
             if cyc_mul_f2(x, y, m):

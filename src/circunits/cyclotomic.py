@@ -8,6 +8,7 @@ is over arbitrary-precision integers; nothing here ever rounds.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .errors import (
     EvenGaloisIndex,
@@ -43,6 +44,23 @@ class Level:
     def degree(self) -> int:
         """Degree of the field extension, 2^(n-1)."""
         return 1 << (self.n - 1)
+
+
+def convolve(x: Sequence[int], y: Sequence[int]) -> list[int]:
+    """Linear product of two coefficient vectors of equal length m, padded
+    to length 2m.
+
+    The nonzero terms of y are listed once and the zeros of x are skipped,
+    so a sparse operand is cheap in either position.  Z[alpha] folds the
+    result by x^m = -1, the group ring by x^m = 1.
+    """
+    terms = [(j, c) for j, c in enumerate(y) if c]
+    full = [0] * (2 * len(x))
+    for i, a in enumerate(x):
+        if a:
+            for j, c in terms:
+                full[i + j] += a * c
+    return full
 
 
 def _check_same_level(a: CycInt, b: CycInt) -> None:
@@ -117,24 +135,8 @@ class CycInt:
     def __mul__(self, other: CycInt) -> CycInt:
         _check_same_level(self, other)
         m = self.level.degree
-        a, b = self.coeffs, other.coeffs
-        # Iterate over the sparser operand; the product of a shift overflowing
-        # position m wraps around with a sign flip.
-        if _nonzero_count(b) < _nonzero_count(a):
-            a, b = b, a
-        acc = [0] * m
-        for i, ai in enumerate(a):
-            if ai == 0:
-                continue
-            for j, bj in enumerate(b):
-                if bj == 0:
-                    continue
-                k = i + j
-                if k < m:
-                    acc[k] += ai * bj
-                else:
-                    acc[k - m] -= ai * bj
-        return CycInt(self.level, tuple(acc))
+        full = convolve(self.coeffs, other.coeffs)
+        return CycInt(self.level, tuple(full[k] - full[k + m] for k in range(m)))
 
     def __pow__(self, exponent: int) -> CycInt:
         if exponent < 0:
@@ -262,7 +264,3 @@ class CycInt:
     def from_json_dict(cls, data: dict) -> CycInt:
         level = Level(int(data["n"]))
         return cls(level, tuple(int(c) for c in data["coeffs"]))
-
-
-def _nonzero_count(coeffs: tuple[int, ...]) -> int:
-    return sum(1 for c in coeffs if c != 0)

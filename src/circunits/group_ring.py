@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .circular_units import eval_word
-from .cyclotomic import CycInt, Level
+from .cyclotomic import CycInt, Level, convolve
 from .errors import LevelMismatch, LevelTooSmall, NotAUnit, NotIntegral
 from .funnel import generator_system
 
@@ -57,9 +57,11 @@ class GroupRingElt:
         """Substitute a ring element for x (x has order 2^n, so value must
         be a 2^n-th root of unity for this to be a homomorphism)."""
         acc = CycInt.zero(value.level)
-        for j, c in enumerate(self.coeffs):
+        power = CycInt.one(value.level)
+        for c in self.coeffs:
             if c:
-                acc = acc + c * value**j
+                acc = acc + c * power
+            power = power * value
         return acc
 
     def to_json_dict(self) -> dict:
@@ -71,21 +73,8 @@ def gr_mul(a: GroupRingElt, b: GroupRingElt) -> GroupRingElt:
     if a.level != b.level:
         raise LevelMismatch("group ring elements live at different levels")
     size = a.level.order
-    out = [0] * size
-    x, y = a.coeffs, b.coeffs
-    if sum(1 for c in y if c) < sum(1 for c in x if c):
-        x, y = y, x
-    for i, ci in enumerate(x):
-        if ci == 0:
-            continue
-        for j, cj in enumerate(y):
-            if cj == 0:
-                continue
-            k = i + j
-            if k >= size:
-                k -= size
-            out[k] += ci * cj
-    return GroupRingElt(a.level, tuple(out))
+    full = convolve(a.coeffs, b.coeffs)
+    return GroupRingElt(a.level, tuple(full[k] + full[k + size] for k in range(size)))
 
 
 def u_chi1(beta: CycInt) -> GroupRingElt:

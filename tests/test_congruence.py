@@ -21,6 +21,7 @@ from circunits import (
     q_power_identities,
     q_word,
     seq_d,
+    seq_s,
     special_mod2,
     verify_main_theorem,
     word_mod2,
@@ -28,6 +29,7 @@ from circunits import (
 from circunits import congruence
 from circunits.cli import main
 from circunits.errors import IndexOutOfRange
+from circunits.gf2 import pack_bits
 
 
 def word(lv, exps, alpha=0):
@@ -255,9 +257,24 @@ def test_verify_square_zero_path(n):
     assert "exploratory" not in data and "spot_checks" not in data
 
 
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
+def test_s_mask_is_parity_of_exact_s(n):
+    # the verifier takes s_j, d_j and r_t masks from this closed form
+    lv = Level(n)
+    for j in range(-lv.order, 2 * lv.order):
+        assert congruence._s_mask(lv, j) == pack_bits(seq_s(lv, j).coeffs)
+
+
 def _break_square_zero_lemma(monkeypatch):
-    # d_q = 1 + s_q squares to 1 mod 2, so the lemma must fail on it
-    monkeypatch.setattr(congruence, "seq_s", seq_d)
+    # hand out the mask of d_q = 1 + s_q for s_q (q = 2^(n-3)); d_q squares
+    # to 1 mod 2, so the lemma must fail on it
+    s_mask = congruence._s_mask
+
+    def broken(level, j):
+        mask = s_mask(level, j)
+        return mask ^ 1 if j == 1 << (level.n - 3) else mask
+
+    monkeypatch.setattr(congruence, "_s_mask", broken)
 
 
 @pytest.mark.parametrize("n", [5, 8])
@@ -273,6 +290,15 @@ def test_cli_exits_3_on_broken_square_zero_lemma(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "square-zero lemma fails" in captured.err
+
+
+def test_cli_failed_run_leaves_empty_json(monkeypatch, tmp_path, capsys):
+    target = tmp_path / "cert.json"
+    target.write_text("stale certificate\n")
+    _break_square_zero_lemma(monkeypatch)
+    assert main(["verify", "--n", "5", "--json", str(target)]) == 3
+    assert capsys.readouterr().out == ""
+    assert target.read_text() == ""
 
 
 def test_verify_rows_encode_generator_coords():

@@ -8,6 +8,8 @@ oracle here.
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from circunits import (
     CycInt,
@@ -112,6 +114,44 @@ def test_pow_matches_repeated_multiplication(seed):
     for e in range(6):
         assert a**e == acc
         acc = acc * a
+
+
+def ref_negacyclic(a: CycInt, b: CycInt) -> CycInt:
+    """Oracle: a double loop with modular indices; alpha^k = -alpha^(k - m)
+    for m <= k < 2m."""
+    m = a.level.degree
+    out = [0] * m
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            k = (i + j) % (2 * m)
+            out[k % m] += x * y if k < m else -x * y
+    return CycInt(a.level, tuple(out))
+
+
+def product_operands(lv: Level):
+    """Zero, +-monomials, a 3-term d_j, or dense signed values up to 2^200."""
+    return st.one_of(
+        st.just(CycInt.zero(lv)),
+        st.builds(
+            lambda e, c: CycInt.monomial(lv, e, c),
+            st.integers(0, lv.order - 1),
+            st.sampled_from([1, -1]),
+        ),
+        st.integers(1, lv.order - 1).map(lambda j: seq_d(lv, j)),
+        st.integers(0, 2**32).map(
+            lambda seed: random_elem(lv, random.Random(seed), bound=1 << 200)
+        ),
+    )
+
+
+@pytest.mark.parametrize("n", range(3, 10))
+@settings(derandomize=True, max_examples=12, deadline=None)
+@given(data=st.data())
+def test_mul_against_double_loop(n, data):
+    lv = Level(n)
+    a, b = data.draw(product_operands(lv)), data.draw(product_operands(lv))
+    assert a * b == ref_negacyclic(a, b)
+    assert b * a == ref_negacyclic(b, a)
 
 
 def test_level_mismatch_rejected():

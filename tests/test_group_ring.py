@@ -11,6 +11,8 @@ import random
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from sympy import Poly, symbols
 
 from circunits import (
@@ -24,6 +26,7 @@ from circunits import (
     UnitWord,
     d_index_set,
     eval_word,
+    generator_system,
     gr_mul,
     is_admissible,
     u_chi1,
@@ -106,6 +109,94 @@ def test_gr_mul_is_cyclic_convolution(seed):
     assert gr_mul(a, b) == GroupRingElt(lv, tuple(expected))
     assert gr_mul(a, b) == gr_mul(b, a)
     assert gr_mul(a, b).augmentation() == a.augmentation() * b.augmentation()
+
+
+def ref_cyclic(a: GroupRingElt, b: GroupRingElt) -> GroupRingElt:
+    """Oracle: a double loop with modular indices; x^(2^n) = 1."""
+    size = a.level.order
+    out = [0] * size
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            out[(i + j) % size] += x * y
+    return GroupRingElt(a.level, tuple(out))
+
+
+def group_ring_operands(lv: Level):
+    """Zero, +-monomials, a 3-term 1 + x^j + x^(-j), or dense signed values
+    up to 2^200."""
+    size = lv.order
+
+    def terms(pairs):
+        coeffs = [0] * size
+        for e, c in pairs:
+            coeffs[e % size] += c
+        return GroupRingElt(lv, tuple(coeffs))
+
+    def dense(seed):
+        rng = random.Random(seed)
+        bound = 1 << 200
+        return GroupRingElt(lv, tuple(rng.randint(-bound, bound) for _ in range(size)))
+
+    return st.one_of(
+        st.just(terms([])),
+        st.builds(
+            lambda e, c: terms([(e, c)]),
+            st.integers(0, size - 1),
+            st.sampled_from([1, -1]),
+        ),
+        st.integers(1, size - 1).map(lambda j: terms([(0, 1), (j, 1), (-j, 1)])),
+        st.integers(0, 2**32).map(dense),
+    )
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+@settings(derandomize=True, max_examples=12, deadline=None)
+@given(data=st.data())
+def test_gr_mul_against_double_loop(n, data):
+    lv = Level(n)
+    a, b = data.draw(group_ring_operands(lv)), data.draw(group_ring_operands(lv))
+    assert gr_mul(a, b) == ref_cyclic(a, b)
+    assert gr_mul(b, a) == ref_cyclic(b, a)
+
+
+# ---------------------------------------------------------------------- #
+# the character map
+
+
+def character_values(lv: Level) -> list[CycInt]:
+    """1, -1, alpha, alpha^3 and alpha^(2^n - 1)."""
+    return [
+        CycInt.one(lv),
+        CycInt.from_int(lv, -1),
+        CycInt.monomial(lv, 1),
+        CycInt.monomial(lv, 3),
+        CycInt.monomial(lv, lv.order - 1),
+    ]
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+def test_apply_character_against_power_sum(n):
+    lv = Level(n)
+    rng = random.Random(n)
+    f_gens = generator_system(lv).f_gens
+    # at most 8 generators per level keep n = 8 fast
+    elements = [
+        u_chi1(eval_word(lw.word))
+        for lw in f_gens[:: max(1, len(f_gens) // 8)]
+    ]
+    small = [0, 0, 0, -3, -1, 1, 2]
+    elements += [
+        GroupRingElt(lv, tuple(rng.choice(small) for _ in range(lv.order)))
+        for _ in range(3)
+    ]
+    for value in character_values(lv):
+        # the old formula sum c_j * value**j, with each power taken once
+        powers = [value**j for j in range(lv.order)]
+        for u in elements:
+            expected = CycInt.zero(lv)
+            for c, power in zip(u.coeffs, powers):
+                expected = expected + c * power
+            assert u.apply_character(value) == expected
 
 
 # ---------------------------------------------------------------------- #
