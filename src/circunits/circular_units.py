@@ -203,11 +203,7 @@ def beta(level: Level, l: int) -> CycInt:
             f"beta index must lie in 0..{(1 << (level.n - 2)) - 1}, got {l}"
         )
     t = pow(3, l, level.order)
-    return (
-        CycInt.one(level)
-        + CycInt.monomial(level, t)
-        + CycInt.monomial(level, 2 * t)
-    )
+    return CycInt.from_terms(level, [(0, 1), (t, 1), (2 * t, 1)])
 
 
 @dataclass(frozen=True, slots=True)

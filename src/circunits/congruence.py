@@ -395,6 +395,18 @@ def _gray_exhaustive(masks: list[int], m: int) -> tuple[int, int]:
     return 1 << g, hits
 
 
+def _transpose(masks: list[int], positions: range) -> list[int]:
+    """GF(2) rows from column masks: row r has bit i set iff masks[i] has
+    bit positions[r] set."""
+    rows = []
+    for p in positions:
+        row = 0
+        for i, mask in enumerate(masks):
+            row |= ((mask >> p) & 1) << i
+        rows.append(row)
+    return rows
+
+
 def verify_main_theorem(level: Level) -> Certificate:
     """Decide whether only the trivial coset product is congruent to 1.
 
@@ -426,15 +438,9 @@ def verify_main_theorem(level: Level) -> Certificate:
         values.append(Mod2WordValue(lw.word, coords))
         masks.append(mask)
 
-    coord_count = 1 << (n - 2)
-    rows = []
-    row_labels = []
-    for p in range(1, coord_count):
-        row = 0
-        for i, value in enumerate(values):
-            row |= ((value.coords.mask >> p) & 1) << i
-        rows.append(row)
-        row_labels.append(values[0].coords.position_label(p))
+    positions = range(1, 1 << (n - 2))
+    rows = _transpose([v.coords.mask for v in values], positions)
+    row_labels = [values[0].coords.position_label(p) for p in positions]
     rank = gf2_rank([r for r in rows if r])
     nullity = g - rank
     f2 = F2System(
@@ -464,15 +470,9 @@ def verify_main_theorem(level: Level) -> Certificate:
     if n >= 5:
         quarter = 1 << (n - 3)
         block = [i for i, lw in enumerate(gens) if lw.k == 1]
-        sub_rows = []
-        sub_row_labels = []
-        for t in range(1, quarter, 2):
-            p = quarter + t
-            sub = 0
-            for col, i in enumerate(block):
-                sub |= ((values[i].coords.mask >> p) & 1) << col
-            sub_rows.append(sub)
-            sub_row_labels.append(f"r_{t}")
+        odd_r_positions = range(quarter + 1, 2 * quarter, 2)
+        sub_rows = _transpose([values[i].coords.mask for i in block], odd_r_positions)
+        sub_row_labels = [f"r_{p - quarter}" for p in odd_r_positions]
         sub_rank = gf2_rank([r for r in sub_rows if r])
         sub_width = max(1, (len(block) + 3) // 4)
         odd_r = {

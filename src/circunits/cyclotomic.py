@@ -8,7 +8,7 @@ is over arbitrary-precision integers; nothing here ever rounds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import (
     EvenGaloisIndex,
@@ -98,20 +98,25 @@ class CycInt:
 
     @classmethod
     def from_int(cls, level: Level, value: int) -> CycInt:
-        coeffs = [0] * level.degree
-        coeffs[0] = value
-        return cls(level, tuple(coeffs))
+        return cls.from_terms(level, [(0, value)])
 
     @classmethod
     def monomial(cls, level: Level, exponent: int, coeff: int = 1) -> CycInt:
         """coeff * alpha^exponent for any integer exponent (reduced)."""
+        return cls.from_terms(level, [(exponent, coeff)])
+
+    @classmethod
+    def from_terms(cls, level: Level, terms: Iterable[tuple[int, int]]) -> CycInt:
+        """Sum of c * alpha^e over (e, c) pairs, for any integers e.
+
+        The one exponent reducer: e = q*m + i with 0 <= i < m, and
+        alpha^(q*m) = (-1)^q because alpha^m = -1.
+        """
         m = level.degree
-        e = exponent % level.order
         coeffs = [0] * m
-        if e < m:
-            coeffs[e] = coeff
-        else:
-            coeffs[e - m] = -coeff
+        for e, c in terms:
+            q, i = divmod(e, m)
+            coeffs[i] += -c if q & 1 else c
         return cls(level, tuple(coeffs))
 
     # ------------------------------------------------------------------ #
@@ -140,7 +145,7 @@ class CycInt:
 
     def __pow__(self, exponent: int) -> CycInt:
         if exponent < 0:
-            return self.invert_unit() ** (-exponent)
+            return (self ** -exponent).invert_unit()
         result = CycInt.one(self.level)
         base = self
         e = exponent
@@ -167,18 +172,9 @@ class CycInt:
         """Apply the automorphism alpha -> alpha^k; k must be odd."""
         if k % 2 == 0:
             raise EvenGaloisIndex(f"Galois index must be odd, got {k}")
-        m = self.level.degree
-        order = self.level.order
-        out = [0] * m
-        for j, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            e = (j * k) % order
-            if e < m:
-                out[e] += c
-            else:
-                out[e - m] -= c
-        return CycInt(self.level, tuple(out))
+        return CycInt.from_terms(
+            self.level, ((j * k, c) for j, c in enumerate(self.coeffs) if c)
+        )
 
     def trace(self) -> int:
         """Sum of all Galois conjugates, always a rational integer.

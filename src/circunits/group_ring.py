@@ -54,15 +54,20 @@ class GroupRingElt:
         return sum(self.coeffs)
 
     def apply_character(self, value: CycInt) -> CycInt:
-        """Substitute a ring element for x (x has order 2^n, so value must
-        be a 2^n-th root of unity for this to be a homomorphism)."""
-        acc = CycInt.zero(value.level)
-        power = CycInt.one(value.level)
-        for c in self.coeffs:
-            if c:
-                acc = acc + c * power
-            power = power * value
-        return acc
+        """Substitute a 2^n-th root of unity value = +-alpha^j for x.
+
+        With value = alpha^k (k = j, or j + 2^(n-1) for -alpha^j), the
+        image is sum c_i alpha^(i*k).  Any other value raises ValueError:
+        x has order 2^n, so only roots of unity give a homomorphism.
+        """
+        support = [(j, c) for j, c in enumerate(value.coeffs) if c]
+        if len(support) != 1 or support[0][1] not in (1, -1):
+            raise ValueError("character value must be a root of unity +-alpha^j")
+        ((j, sign),) = support
+        k = j if sign == 1 else j + value.level.degree
+        return CycInt.from_terms(
+            value.level, ((i * k, c) for i, c in enumerate(self.coeffs) if c)
+        )
 
     def to_json_dict(self) -> dict:
         return {"n": self.level.n, "coeffs": [str(c) for c in self.coeffs]}
@@ -89,16 +94,14 @@ def u_chi1(beta: CycInt) -> GroupRingElt:
     if nrm not in (1, -1):
         raise NotAUnit(f"norm is {nrm}, not +-1")
     level = beta.level
-    m = level.degree
     c = (beta - CycInt.one(level)).coeffs
-    gammas = [0] * level.order
-    for j in range(level.order):
-        value = c[j] if j < m else -c[j - m]
+    gammas = []
+    for j, value in enumerate(c + tuple(-x for x in c)):
         if value % 2:
             raise NotIntegral(
                 f"trace coefficient at x^{j} is odd; beta is not 1 mod 2"
             )
-        gammas[j] = value // 2
+        gammas.append(value // 2)
     gammas[0] += 1
     result = GroupRingElt(level, tuple(gammas))
     if result.augmentation() != 1:

@@ -40,17 +40,18 @@ __all__ = [
 
 def seq_s(level: Level, j: int) -> CycInt:
     """s_j = alpha^j + alpha^(-j); accepts any integer j."""
-    return CycInt.monomial(level, j) + CycInt.monomial(level, -j)
+    return CycInt.from_terms(level, [(j, 1), (-j, 1)])
 
 
 def seq_d(level: Level, j: int) -> CycInt:
     """d_j = 1 + s_j; a unit for odd j."""
-    return CycInt.one(level) + seq_s(level, j)
+    return CycInt.from_terms(level, [(0, 1), (j, 1), (-j, 1)])
 
 
 def seq_r(level: Level, j: int) -> CycInt:
     """r_j = s_j + s_{2^(n-2)-j}."""
-    return seq_s(level, j) + seq_s(level, (1 << (level.n - 2)) - j)
+    q = 1 << (level.n - 2)
+    return CycInt.from_terms(level, [(j, 1), (-j, 1), (q - j, 1), (j - q, 1)])
 
 
 # ---------------------------------------------------------------------- #
@@ -77,11 +78,11 @@ class RealElem:
             )
 
     def to_cyc(self) -> CycInt:
-        acc = CycInt.from_int(self.level, self.s_coords[0])
-        for j, c in enumerate(self.s_coords[1:], start=1):
-            if c:
-                acc = acc + c * seq_s(self.level, j)
-        return acc
+        c = self.s_coords
+        return CycInt.from_terms(
+            self.level,
+            [(0, c[0])] + [(e, c[j]) for j in range(1, len(c)) for e in (j, -j)],
+        )
 
 
 def to_s_basis(a: CycInt) -> RealElem:
@@ -91,12 +92,9 @@ def to_s_basis(a: CycInt) -> RealElem:
     alpha^(m-j), so the coordinates can be read off the lower half directly
     once the symmetry is confirmed.
     """
-    m = a.level.degree
-    half = m // 2
-    c = a.coeffs
-    if c[half] != 0 or any(c[m - j] != -c[j] for j in range(1, half)):
+    if not a.is_real():
         raise NotReal("element is not fixed by conjugation")
-    return RealElem(a.level, tuple(c[:half]))
+    return RealElem(a.level, a.coeffs[: a.level.degree // 2])
 
 
 # ---------------------------------------------------------------------- #

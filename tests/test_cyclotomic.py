@@ -17,6 +17,9 @@ from circunits import (
     Level,
     LevelMismatch,
     NotAUnit,
+    UnitWord,
+    beta,
+    eval_word,
     seq_d,
     seq_s,
 )
@@ -83,6 +86,27 @@ def test_monomial_reduction_at_max_level():
     lv = Level(12)
     alpha = CycInt.monomial(lv, 1)
     assert alpha ** lv.order == CycInt.one(lv)
+
+
+@pytest.mark.parametrize("n", range(3, 10))
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(data=st.data())
+def test_from_terms_against_products(n, data):
+    """from_terms against sum c * alpha**(e mod 2^n), the power computed by
+    products; a small exponent pool forces repeated exponents."""
+    lv = Level(n)
+    bound = 3 * lv.order
+    pool = data.draw(st.lists(st.integers(-bound, bound), min_size=1, max_size=4))
+    exponent = st.one_of(st.sampled_from(pool), st.integers(-bound, bound))
+    terms = data.draw(
+        st.lists(st.tuples(exponent, st.integers(-5, 5)), max_size=12)
+    )
+    alpha = CycInt.monomial(lv, 1)
+    expected = CycInt.zero(lv)
+    for e, c in terms:
+        expected = expected + c * alpha ** (e % lv.order)
+    assert CycInt.from_terms(lv, terms) == expected
+    assert CycInt.from_terms(lv, iter(terms)) == expected
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -187,6 +211,22 @@ def test_galois_composition_and_identity():
     assert a.galois(1) == a
     assert a.galois(3).galois(5) == a.galois(15)
     assert a.galois(3).galois(11) == a.galois(33 % lv.order)
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_galois_against_substitution(n):
+    """galois(k) against sum c_j (alpha^k)^j, for odd k of either sign."""
+    rng = random.Random(n)
+    lv = Level(n)
+    elems = [random_elem(lv, rng) for _ in range(3)] + [seq_d(lv, 1)]
+    for k in (1, 3, lv.order - 1, lv.order + 5, -3, -lv.order - 1):
+        root = CycInt.monomial(lv, k)
+        powers = [root**j for j in range(lv.degree)]
+        for a in elems:
+            expected = CycInt.zero(lv)
+            for c, power in zip(a.coeffs, powers):
+                expected = expected + c * power
+            assert a.galois(k) == expected
 
 
 def test_galois_even_index_rejected():
@@ -297,6 +337,30 @@ def test_negative_pow_through_inversion():
     d = seq_d(lv, 3)
     assert d**-2 * d**2 == CycInt.one(lv)
     assert d**-1 == d.invert_unit()
+
+
+def sample_units(lv: Level) -> tuple[list[CycInt], list[CycInt]]:
+    """Sparse units d_j and beta_l, and two dense units: a word in two d's
+    and the same word times alpha^3, which is not real."""
+    word = UnitWord.make(lv, 0, {1: 3, 3: -2} if lv.n > 3 else {1: 5})
+    dense = eval_word(word)
+    sparse = [seq_d(lv, 1), seq_d(lv, max(1, lv.degree - 3)), beta(lv, 1)]
+    return sparse, [dense, CycInt.monomial(lv, 3) * dense]
+
+
+@pytest.mark.parametrize("n", range(3, 10))
+def test_negative_pow_inverts_once(n):
+    """x ** -e, which inverts x ** e, against x.invert_unit() ** e for
+    e = 1..40; from n = 8 the dense units stop at e = 8, since each of
+    their powers there costs 0.05 to 0.2 s."""
+    lv = Level(n)
+    sparse, dense = sample_units(lv)
+    for x in sparse + dense:
+        inverse = x.invert_unit()
+        expected = CycInt.one(lv)
+        for e in range(1, 9 if n >= 8 and x in dense else 41):
+            expected = expected * inverse
+            assert x**-e == expected
 
 
 # ---------------------------------------------------------------------- #

@@ -28,6 +28,7 @@ from circunits import (
     eval_word,
     generator_system,
     gr_mul,
+    seq_d,
     is_admissible,
     u_chi1,
     v1_generators,
@@ -164,7 +165,10 @@ def test_gr_mul_against_double_loop(n, data):
 
 
 def character_values(lv: Level) -> list[CycInt]:
-    """1, -1, alpha, alpha^3 and alpha^(2^n - 1)."""
+    """Every alpha^k, k = 0..2^n-1 (so every -alpha^j too) for n <= 5;
+    above, 1, -1, alpha, alpha^3 and alpha^(2^n - 1)."""
+    if lv.n <= 5:
+        return [CycInt.monomial(lv, k) for k in range(lv.order)]
     return [
         CycInt.one(lv),
         CycInt.from_int(lv, -1),
@@ -197,6 +201,22 @@ def test_apply_character_against_power_sum(n):
             for c, power in zip(u.coeffs, powers):
                 expected = expected + c * power
             assert u.apply_character(value) == expected
+
+
+def test_apply_character_rejects_non_roots():
+    lv = Level(4)
+    alpha = CycInt.monomial(lv, 1)
+    u = GroupRingElt.x_power(lv, 3)
+    for value in (
+        CycInt.zero(lv),
+        CycInt.from_int(lv, 2),
+        CycInt.from_int(lv, -2),
+        CycInt.monomial(lv, 1, 2),
+        CycInt.one(lv) + alpha,
+        seq_d(lv, 1),
+    ):
+        with pytest.raises(ValueError):
+            u.apply_character(value)
 
 
 # ---------------------------------------------------------------------- #
