@@ -3,10 +3,12 @@
 Subcommands: verify (main-theorem certificates), tables (mod-2 s/r tables),
 funnel (partition and generator systems), unit (group-ring gamma vector of
 a word), identities (congruence identity reports).  verify proves its
-verdict at every level 4..12: it checks the square-zero lemma (every
-product of two of s_{2^(n-3)}, r_1, ..., r_{2^(n-3)-1} is 0 mod 2), which
-makes the linearized GF(2) system exact.  All JSON output is
-deterministic; timing fields are zeroed unless --timing is given.
+verdict at every level 4..12: it checks the square-zero lemma (each of
+s_{2^(n-3)}, r_1, ..., r_{2^(n-3)-1} is annihilated by (1 + alpha)^(m/2)
+mod 2, so every product of two of them is 0 mod 2), which makes the
+linearized GF(2) system exact.  unit decides a word mod 2 before any exact
+arithmetic.  All JSON output is deterministic; timing fields are zeroed
+unless --timing is given.
 """
 
 from __future__ import annotations
@@ -18,7 +20,12 @@ import sys
 from typing import ContextManager, Sequence, TextIO
 
 from .circular_units import eval_word, parse_word
-from .congruence import galois_transport_check, q_power_identities, verify_main_theorem
+from .congruence import (
+    _word_parities,
+    galois_transport_check,
+    q_power_identities,
+    verify_main_theorem,
+)
 from .cyclotomic import Level
 from .errors import (
     DisagreementError,
@@ -28,7 +35,7 @@ from .errors import (
     NotIntegral,
 )
 from .funnel import generator_system, build_partition
-from .group_ring import u_chi1
+from .group_ring import _require_one_mod2, u_chi1
 from .real_basis import r_table_tokens, s_table_tokens
 from .version import TOOL_VERSION
 
@@ -152,9 +159,8 @@ def _cmd_unit(args: argparse.Namespace, out: TextIO) -> int:
         word = parse_word(level, args.word)
     except (ValueError, IndexOutOfRange) as exc:
         raise _UsageError(f"bad word {args.word!r}: {exc}") from None
-    beta = eval_word(word)
     try:
-        image = u_chi1(beta)
+        _require_one_mod2(_word_parities(word))
     except NotIntegral as exc:
         _dump(
             {
@@ -167,6 +173,10 @@ def _cmd_unit(args: argparse.Namespace, out: TextIO) -> int:
             out,
         )
         return 2
+    try:
+        image = u_chi1(eval_word(word))
+    except NotIntegral as exc:
+        raise InternalInconsistency(f"u_chi1 refuses a word 1 mod 2: {exc}") from None
     _dump(
         {
             "n": level.n,
@@ -261,10 +271,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         with _open_json(args.json) as out:
             return args.func(args, out)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    except LevelTooSmall as exc:
+    except (_UsageError, LevelTooSmall) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except (DisagreementError, InternalInconsistency) as exc:

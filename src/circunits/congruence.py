@@ -24,7 +24,7 @@ from .errors import (
     NonRealWord,
 )
 from .funnel import generator_system, q_word
-from .gf2 import cyc_mul_f2, cyc_pow_f2, gf2_rank, unpack_bits
+from .gf2 import cyc_mul_f2, gf2_rank, unpack_bits
 from .real_basis import (
     SpecialCoordsMod2,
     seq_d,
@@ -74,33 +74,35 @@ def _s_mask(level: Level, j: int) -> int:
 
 
 def _word_parities(w: UnitWord) -> int:
-    """Coefficient parities of a real word, as an m-bit mask, computed in
-    the parity ring Z[alpha]/2.
+    """Coefficient parities of a word, as an m-bit mask, in Z[alpha]/2.
 
-    Every exponent is reduced mod 2^(n-2), which lifts negative exponents
-    without exact inversion.  The reduction is valid because d_j has order
-    dividing 2^(n-2) mod 2; that premise is checked for each index used.
+    Signs vanish mod 2, so alpha^a is bit a mod m.  Squaring is the
+    Frobenius map, so d_j^e is the product of the sparse factors
+    d_j^(2^k) = 1 + s_(2^k j) over the set bits k of e mod 2^(n-2).  That
+    reduction lifts negative exponents, and its premise d_j^(2^(n-2)) = 1
+    mod 2 is checked for each index used.
     """
-    if not w.is_real():
-        raise NonRealWord(
-            f"word has alpha exponent {w.alpha_exp}; no real coordinates"
-        )
     level = w.level
     m = level.degree
-    period = 1 << (level.n - 2)
-    parities = 1
+    shift = level.n - 2
+    parities = 1 << w.alpha_exp % m
     for j, e in w.d_exps:
-        d_mask = 1 ^ _s_mask(level, j)
-        if cyc_pow_f2(d_mask, period, m) != 1:
+        if _s_mask(level, j << shift):
             raise InternalInconsistency(
                 f"d_{j} does not have order dividing 2^(n-2) mod 2"
             )
-        parities = cyc_mul_f2(cyc_pow_f2(d_mask, e % period, m), parities, m)
+        for k in range(shift):  # the low bits of e, two's complement if e < 0
+            if e >> k & 1:
+                parities = cyc_mul_f2(1 ^ _s_mask(level, j << k), parities, m)
     return parities
 
 
 def word_mod2(w: UnitWord) -> SpecialCoordsMod2:
     """Mod-2 class of a real word in the special basis."""
+    if not w.is_real():
+        raise NonRealWord(
+            f"word has alpha exponent {w.alpha_exp}; no real coordinates"
+        )
     return special_mod2_from_parities(w.level, _word_parities(w))
 
 
@@ -128,12 +130,7 @@ def p_factor(level: Level, k: int) -> CycInt:
     Mod 2 it equals the ascending product of the d_{2^j}; the identity
     report checks that form.
     """
-    if not 1 <= k <= level.n - 3:
-        raise IndexOutOfRange(
-            f"P-factor index must lie in 1..{level.n - 3}, got {k}"
-        )
-    exponent = sum(1 << j for j in range(k - 1, level.n - 3))
-    return seq_d(level, 1) ** exponent
+    return seq_d(level, 1) ** sum(p_factor_indices(level, k))
 
 
 def _render_p_product(level: Level, k: int) -> str:
@@ -175,7 +172,8 @@ def q_power_identities(level: Level) -> dict:
     for k in range(1, n - 2):
         half = 1 << (k - 1)
         pk = p_factor(level, k)
-        lhs = word_mod2(UnitWord.make(level, 0, {1: -half}))
+        inv_mask = _word_parities(UnitWord.make(level, 0, {1: -half}))
+        lhs = special_mod2_from_parities(level, inv_mask)
         rhs = special_mod2(seq_d(level, quarter) * pk)
         checks.append(_check_entry("head_inverse_power", lhs, rhs, k=k))
 
@@ -186,12 +184,10 @@ def q_power_identities(level: Level) -> dict:
 
         q_half = word_mod2(q_word(level, k, 1) ** half)
 
-        d_mask = 1 ^ _s_mask(level, half)
-        inv_mask = cyc_pow_f2(d_mask, (1 << (n - 1 - k)) - 1, m)
-        if cyc_mul_f2(d_mask, inv_mask, m) != 1:
-            raise InternalInconsistency("parity-ring inverse of d failed")
+        if cyc_mul_f2(1 ^ _s_mask(level, half), inv_mask, m) != 1:
+            raise InternalInconsistency("d_1^(-2^(k-1)) is not 1/d_{2^(k-1)} mod 2")
         r_mask = _s_mask(level, half) ^ _s_mask(level, 2 * quarter - half)
-        rhs = special_mod2_from_parities(level, 1 ^ cyc_mul_f2(inv_mask, r_mask, m))
+        rhs = special_mod2_from_parities(level, 1 ^ cyc_mul_f2(r_mask, inv_mask, m))
         checks.append(_check_entry("q_half_power_inverse_form", q_half, rhs, k=k))
 
         rhs = special_mod2(CycInt.one(level) + pk * seq_r(level, half))
@@ -351,21 +347,25 @@ def _coords_structural_check(coords: SpecialCoordsMod2) -> None:
 
 
 def _square_zero_check(level: Level) -> None:
-    """Check the square-zero lemma: every product of two of s_q, r_1, ...,
-    r_{q-1} (q = 2^(n-3)) is 0 mod 2."""
+    """Check the square-zero lemma: V*V = 0 mod 2 for V = span(s_q, r_1,
+    ..., r_{q-1}), q = 2^(n-3), with one product per basis element.
+
+    Z[alpha]/2 = F_2[pi]/(pi^m) with pi = 1 + alpha is a chain ring, so x
+    lies in (pi^(m/2)) iff x * pi^(m/2) = 0, and pi^(m/2) = 1 + alpha^(m/2).
+    Each basis element passes that test, so V lies in (pi^(m/2)) and V*V in
+    (pi^m) = 0.
+    """
     m = level.degree
     quarter = 1 << (level.n - 3)
-    basis = [_s_mask(level, quarter)]
-    basis += [
+    pi_half = 1 | 1 << m // 2
+    basis = [_s_mask(level, quarter)] + [
         _s_mask(level, t) ^ _s_mask(level, 2 * quarter - t) for t in range(1, quarter)
     ]
-    for i, x in enumerate(basis):
-        for y in basis[i:]:
-            if cyc_mul_f2(x, y, m):
-                raise InternalInconsistency(
-                    "square-zero lemma fails: a product of two basis "
-                    "elements of the coset-class span is nonzero mod 2"
-                )
+    if any(cyc_mul_f2(pi_half, x, m) for x in basis):
+        raise InternalInconsistency(
+            "square-zero lemma fails: a basis element of the coset-class "
+            "span is not in (1 + alpha)^(m/2) mod 2"
+        )
 
 
 def _gray_exhaustive(masks: list[int], m: int) -> tuple[int, int]:
@@ -397,14 +397,11 @@ def _gray_exhaustive(masks: list[int], m: int) -> tuple[int, int]:
 
 def _transpose(masks: list[int], positions: range) -> list[int]:
     """GF(2) rows from column masks: row r has bit i set iff masks[i] has
-    bit positions[r] set."""
-    rows = []
-    for p in positions:
-        row = 0
-        for i, mask in enumerate(masks):
-            row |= ((mask >> p) & 1) << i
-        rows.append(row)
-    return rows
+    bit positions[r] set.  zip reads the masks' bit strings (lowest bit
+    first, last mask first) position by position."""
+    cut = slice(positions.start, positions.stop, positions.step)
+    columns = [format(x, f"0{positions.stop}b")[::-1][cut] for x in reversed(masks)]
+    return [int("".join(bits), 2) for bits in zip(*columns)]
 
 
 def verify_main_theorem(level: Level) -> Certificate:
@@ -417,13 +414,12 @@ def verify_main_theorem(level: Level) -> Certificate:
     true verdict pins the intersection of sqrt(F) with E to F.
     """
     n = level.n
-    if n < 4:
-        raise LevelTooSmall(f"verification needs n >= 4, got {n}")
     started = time.perf_counter()
     m = level.degree
     system = generator_system(level)
     gens = system.sqrt_gens
     g = len(gens)
+    _square_zero_check(level)
 
     values = []
     masks = []
@@ -452,8 +448,6 @@ def verify_main_theorem(level: Level) -> Certificate:
         nullity=nullity,
         trivial_only=(nullity == 0),
     )
-
-    _square_zero_check(level)
 
     walked = min(g, WALK_GENERATORS)
     exhaustive_assignments, kernel_size = _gray_exhaustive(masks[:walked], m)

@@ -127,8 +127,6 @@ def _q_block(partition: FunnelPartition, k: int, exponent: int) -> list[LabeledW
 def generator_system(level: Level) -> GeneratorSystem:
     """Both generator lists; 2^(n-2)-1 for F and 2^(n-3) for sqrt(F)/F."""
     n = level.n
-    if n < 4:
-        raise LevelTooSmall(f"generator systems need n >= 4, got {n}")
     partition = build_partition(level)
     f_gens: list[LabeledWord] = [_head(level, 1 << (n - 2))]
     for k in range(n - 3, 0, -1):

@@ -15,6 +15,7 @@ from .circular_units import eval_word
 from .cyclotomic import CycInt, Level, convolve
 from .errors import LevelMismatch, LevelTooSmall, NotAUnit, NotIntegral
 from .funnel import generator_system
+from .gf2 import pack_bits
 
 __all__ = [
     "GroupRingElt",
@@ -82,6 +83,14 @@ def gr_mul(a: GroupRingElt, b: GroupRingElt) -> GroupRingElt:
     return GroupRingElt(a.level, tuple(full[k] + full[k + size] for k in range(size)))
 
 
+def _require_one_mod2(parities: int) -> None:
+    """Refuse a beta whose parity mask is not 1, naming the first odd x^j."""
+    odd = parities ^ 1
+    if odd:
+        j = (odd & -odd).bit_length() - 1
+        raise NotIntegral(f"trace coefficient at x^{j} is odd; beta is not 1 mod 2")
+
+
 def u_chi1(beta: CycInt) -> GroupRingElt:
     """The normalized group-ring unit attached to an admissible beta.
 
@@ -93,20 +102,12 @@ def u_chi1(beta: CycInt) -> GroupRingElt:
     nrm = beta.norm()
     if nrm not in (1, -1):
         raise NotAUnit(f"norm is {nrm}, not +-1")
+    _require_one_mod2(pack_bits(beta.coeffs))
     level = beta.level
     c = (beta - CycInt.one(level)).coeffs
-    gammas = []
-    for j, value in enumerate(c + tuple(-x for x in c)):
-        if value % 2:
-            raise NotIntegral(
-                f"trace coefficient at x^{j} is odd; beta is not 1 mod 2"
-            )
-        gammas.append(value // 2)
+    gammas = [x // 2 for x in c] + [-x // 2 for x in c]
     gammas[0] += 1
-    result = GroupRingElt(level, tuple(gammas))
-    if result.augmentation() != 1:
-        raise NotIntegral("constructed element is not normalized")
-    return result
+    return GroupRingElt(level, tuple(gammas))
 
 
 def is_admissible(beta: CycInt) -> bool:

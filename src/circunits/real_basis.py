@@ -199,24 +199,23 @@ def special_mod2_from_parities(level: Level, parities: int) -> SpecialCoordsMod2
     packed as an m-bit mask (bit j for alpha^j).
 
     Products computed in the parity ring land here without lifting back to
-    exact integers.  The parity mask must be conjugation-symmetric.  The
-    substitution s_{2^(n-2)-t} = r_t - s_t of to_special_basis reads, mod
-    2, as moving bit 2^(n-2)-t to r_t and adding it to s_t.
+    exact integers.  The parity mask must be conjugation-symmetric: bit m/2
+    clear, and bits 1..m-1 read the same reversed.  The substitution
+    s_{2^(n-2)-t} = r_t - s_t of to_special_basis reads, mod 2, as moving
+    bit 2^(n-2)-t to r_t and adding it to s_t.
     """
     m = level.degree
     half = m // 2
     if not 0 <= parities < 1 << m:
         raise ValueError(f"need a parity mask of {m} bits, got {parities:#x}")
-    if (parities >> half) & 1 or any(
-        ((parities >> (m - j)) ^ (parities >> j)) & 1 for j in range(1, half)
-    ):
+    bits = format(parities, f"0{m}b")[::-1]  # bits[j] is the parity at alpha^j
+    if bits[half] == "1" or bits[1:] != bits[:0:-1]:
         raise InternalInconsistency("parity vector is not real mod 2")
     quarter = half // 2
+    # bit t of moved is bit 2^(n-2)-t of parities, for 0 < t < 2^(n-3)
+    moved = int(bits[quarter + 1 : half] + "0", 2)
     out = parities & ((2 << quarter) - 1)
-    for t in range(1, quarter):
-        if (parities >> (2 * quarter - t)) & 1:
-            out ^= (1 << t) | (1 << (quarter + t))
-    return SpecialCoordsMod2(level, out)
+    return SpecialCoordsMod2(level, out ^ moved ^ (moved << quarter))
 
 
 def rtilde_member(a: CycInt) -> bool:

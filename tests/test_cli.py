@@ -9,7 +9,9 @@ from pathlib import Path
 
 import pytest
 
+from circunits import cli
 from circunits.cli import main
+from circunits.errors import NotIntegral
 
 
 def run(capsys, *argv):
@@ -193,6 +195,59 @@ def test_unit_bad_word(capsys):
 def test_unit_out_of_set_index(capsys):
     code, _, err = run(capsys, "unit", "--n", "4", "--word", "d7")
     assert code == 1
+
+
+def _refusal(n, word, j):
+    document = {
+        "n": n,
+        "word": word,
+        "integral": False,
+        "error": "NotIntegral",
+        "detail": f"trace coefficient at x^{j} is odd; beta is not 1 mod 2",
+    }
+    return json.dumps(document, indent=2) + "\n"
+
+
+def _no_exact_arithmetic(monkeypatch):
+    def boom(word):
+        raise AssertionError(f"eval_word called on {word.render()}")
+
+    monkeypatch.setattr(cli, "eval_word", boom)
+
+
+def test_unit_refuses_in_the_parity_ring(monkeypatch, capsys):
+    # exact evaluation of this word took 13-16 s before its refusal
+    _no_exact_arithmetic(monkeypatch)
+    code, out, err = run(capsys, "unit", "--n", "11", "--word", "d1^-256 * d3^64")
+    assert (code, err) == (2, "")
+    assert out == _refusal(11, "d1^-256 * d3^64", 64)
+
+
+def test_unit_refuses_alpha_words_in_the_parity_ring(monkeypatch, capsys):
+    _no_exact_arithmetic(monkeypatch)
+    code, out, _ = run(capsys, "unit", "--n", "5", "--word", "a^3 * d3^2")
+    assert code == 2
+    assert out == _refusal(5, "a^3 * d3^2", 0)
+
+
+def test_unit_admits_minus_one_times_a_word(capsys):
+    # alpha^16 = -1 at n = 5, which is 1 mod 2
+    code, out, _ = run(capsys, "unit", "--n", "5", "--word", "a^16 * d1^8")
+    assert code == 0
+    gammas = [-553, -508, -392, -252, -133, -56, -18, -4, 0, 4, 18, 56, 133, 252, 392, 508]
+    gammas += [554, 508, 392, 252, 133, 56, 18, 4, 0, -4, -18, -56, -133, -252, -392, -508]
+    expected = {"n": 5, "word": "a^16 * d1^8", "gammas": [str(g) for g in gammas]}
+    assert out == json.dumps(expected, indent=2) + "\n"
+
+
+def test_unit_parity_and_exact_disagreement_exits_3(monkeypatch, capsys):
+    def refuse(beta):
+        raise NotIntegral("trace coefficient at x^1 is odd; beta is not 1 mod 2")
+
+    monkeypatch.setattr(cli, "u_chi1", refuse)
+    code, out, err = run(capsys, "unit", "--n", "4", "--word", "d1^4")
+    assert (code, out) == (3, "")
+    assert err.startswith("internal disagreement: u_chi1 refuses a word 1 mod 2")
 
 
 # ---------------------------------------------------------------------- #

@@ -21,6 +21,7 @@ from circunits import (
     q_power_identities,
     q_word,
     seq_d,
+    seq_r,
     seq_s,
     special_mod2,
     verify_main_theorem,
@@ -29,7 +30,7 @@ from circunits import (
 from circunits import congruence
 from circunits.cli import main
 from circunits.errors import IndexOutOfRange
-from circunits.gf2 import pack_bits
+from circunits.gf2 import cyc_mul_f2, cyc_pow_f2, pack_bits
 
 
 def word(lv, exps, alpha=0):
@@ -307,3 +308,142 @@ def test_verify_rows_encode_generator_coords():
         for p in range(1, 8):
             bit = (cert.system.rows[p - 1] >> i) & 1
             assert bit == (value.coords.mask >> p) & 1
+
+
+# ---------------------------------------------------------------------- #
+# closed forms of the verifier's parity-ring steps
+
+
+def _coset_span_basis(lv):
+    # s_q, r_1, ..., r_{q-1} (q = 2^(n-3)) as parity masks, from exact values
+    quarter = 1 << (lv.n - 3)
+    basis = [seq_s(lv, quarter)] + [seq_r(lv, t) for t in range(1, quarter)]
+    return [pack_bits(x.coeffs) for x in basis]
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8, 9, 10])
+def test_pairwise_square_zero_products_vanish(n):
+    """The q(q+1)/2 pairwise products that the one-product-per-element
+    lemma replaces are all 0 mod 2."""
+    lv = Level(n)
+    basis = _coset_span_basis(lv)
+    assert len(basis) == 1 << (n - 3)
+    for i, x in enumerate(basis):
+        for y in basis[i:]:
+            assert cyc_mul_f2(x, y, lv.degree) == 0
+
+
+@pytest.mark.parametrize("n", [4, 7, 12])
+def test_square_zero_check_makes_q_products(n, monkeypatch):
+    lv = Level(n)
+    m = lv.degree
+    seen = []
+
+    def counting(a, b, width):
+        seen.append((a, b))
+        return cyc_mul_f2(a, b, width)
+
+    monkeypatch.setattr(congruence, "cyc_mul_f2", counting)
+    congruence._square_zero_check(lv)
+    assert len(seen) == 1 << (n - 3)
+    # each product is by (1 + alpha)^(m/2) = 1 + alpha^(m/2)
+    assert {a for a, _ in seen} == {1 | 1 << (m // 2)}
+    assert sorted(b for _, b in seen) == sorted(_coset_span_basis(lv))
+
+
+def _break_r_block(monkeypatch):
+    # r_1 = s_1 + s_{2q-1} gains the constant bit, so r_1 is a unit mod 2
+    s_mask = congruence._s_mask
+
+    def broken(level, j):
+        mask = s_mask(level, j)
+        return mask ^ 1 if j == 1 else mask
+
+    monkeypatch.setattr(congruence, "_s_mask", broken)
+
+
+@pytest.mark.parametrize("n", [4, 8])
+def test_verify_detects_broken_r_block(n, monkeypatch):
+    _break_r_block(monkeypatch)
+    with pytest.raises(InternalInconsistency, match="square-zero"):
+        verify_main_theorem(Level(n))
+
+
+def test_cli_exits_3_on_broken_r_block(monkeypatch, capsys):
+    _break_r_block(monkeypatch)
+    assert main(["verify", "--n", "6"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "square-zero lemma fails" in captured.err
+
+
+def test_word_parities_checks_the_order_premise(monkeypatch):
+    # a d_j whose 2^(n-2)-th power is not 1 mod 2 must stop the reduction
+    s_mask = congruence._s_mask
+    lv = Level(6)
+
+    def broken(level, j):
+        return s_mask(level, j) ^ (2 if j == 3 << (level.n - 2) else 0)
+
+    monkeypatch.setattr(congruence, "_s_mask", broken)
+    assert congruence._word_parities(word(lv, {1: 5, 5: -3})) > 1
+    with pytest.raises(InternalInconsistency, match="order dividing"):
+        congruence._word_parities(word(lv, {3: 1}))
+
+
+def _dense_word_parities(w):
+    # alpha^a times dense d_j powers; every unit of Z[alpha]/2 has order
+    # dividing m, so e mod m lifts negative exponents independently of the
+    # 2^(n-2) period the verifier uses
+    m = w.level.degree
+    parities = 1 << (w.alpha_exp % m)
+    for j, e in w.d_exps:
+        d_mask = pack_bits(seq_d(w.level, j).coeffs)
+        parities = cyc_mul_f2(cyc_pow_f2(d_mask, e % m, m), parities, m)
+    return parities
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8, 9, 10, 11, 12])
+def test_word_parities_against_dense_powers(n):
+    rng = random.Random(n)
+    lv = Level(n)
+    period = 1 << (n - 2)
+    indices = d_index_set(lv)
+    for _ in range(12):
+        exps = {}
+        for j in rng.sample(indices, min(3, len(indices))):
+            # below and beyond one period, of both signs
+            big = rng.randint(period, 4 * period)
+            exps[j] = rng.choice([rng.randint(1, period - 1), big]) * rng.choice([1, -1])
+        w = word(lv, exps, alpha=rng.randrange(lv.order))
+        parities = congruence._word_parities(w)
+        assert parities == _dense_word_parities(w), w.render()
+        if n <= 7:
+            assert parities == pack_bits(eval_word(w).coeffs), w.render()
+
+
+def _transpose_by_bits(masks, positions):
+    # the per-bit loop that congruence._transpose replaces
+    rows = []
+    for p in positions:
+        row = 0
+        for i, mask in enumerate(masks):
+            row |= ((mask >> p) & 1) << i
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("n", [4, 5, 7, 9, 12])
+def test_transpose_against_bit_loop(n):
+    rng = random.Random(n)
+    width = 1 << (n - 2)
+    quarter = width // 2
+    shapes = [range(1, width), range(quarter + 1, 2 * quarter, 2), range(0, 2 * width)]
+    for positions in shapes:
+        for count in (1, 2, 5, quarter):
+            # some masks carry bits past positions.stop, which must be ignored
+            masks = [rng.getrandbits(2 * width + 3) for _ in range(count)]
+            masks[0] = 0
+            assert congruence._transpose(masks, positions) == _transpose_by_bits(
+                masks, positions
+            )

@@ -244,6 +244,53 @@ def test_special_mod2_from_parities_rejects_non_real():
         special_mod2_from_parities(lv, 1 << lv.degree)
 
 
+def _special_mod2_by_bits(level, parities):
+    # the per-bit realness test and substitution loop that
+    # special_mod2_from_parities replaces; None for a non-real mask
+    m = level.degree
+    half = m // 2
+    if (parities >> half) & 1 or any(
+        ((parities >> (m - j)) ^ (parities >> j)) & 1 for j in range(1, half)
+    ):
+        return None
+    quarter = half // 2
+    out = parities & ((2 << quarter) - 1)
+    for t in range(1, quarter):
+        if (parities >> (2 * quarter - t)) & 1:
+            out ^= (1 << t) | (1 << (quarter + t))
+    return out
+
+
+def _random_real_parities(rng, level):
+    m = level.degree
+    mask = rng.getrandbits(1)
+    for j in range(1, m // 2):
+        if rng.getrandbits(1):
+            mask |= (1 << j) | (1 << (m - j))
+    return mask
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8, 9, 10, 11, 12])
+def test_special_mod2_from_parities_against_bit_loop(n):
+    rng = random.Random(n)
+    lv = Level(n)
+    m = lv.degree
+    samples = [0, 1] + [_random_real_parities(rng, lv) for _ in range(20)]
+    for mask in samples:
+        expected = _special_mod2_by_bits(lv, mask)
+        assert expected is not None
+        assert special_mod2_from_parities(lv, mask).mask == expected
+    # flipping any bit but the constant one breaks realness
+    real = samples[-1]
+    for p in range(1, m):
+        assert _special_mod2_by_bits(lv, real ^ (1 << p)) is None
+        with pytest.raises(InternalInconsistency):
+            special_mod2_from_parities(lv, real ^ (1 << p))
+    assert special_mod2_from_parities(lv, real ^ 1).mask == _special_mod2_by_bits(
+        lv, real ^ 1
+    )
+
+
 # ---------------------------------------------------------------------- #
 # general product rules mod 2 (valid for every index pair)
 
