@@ -7,8 +7,9 @@ verdict at every level 4..12: it checks the square-zero lemma (each of
 s_{2^(n-3)}, r_1, ..., r_{2^(n-3)-1} is annihilated by (1 + alpha)^(m/2)
 mod 2, so every product of two of them is 0 mod 2), which makes the
 linearized GF(2) system exact.  unit decides a word mod 2 before any exact
-arithmetic.  All JSON output is deterministic; timing fields are zeroed
-unless --timing is given.
+arithmetic, and refuses an admitted word whose value may be too large to
+compute as a usage error.  All JSON output is deterministic; timing fields
+are zeroed unless --timing is given.
 """
 
 from __future__ import annotations
@@ -35,11 +36,16 @@ from .errors import (
     NotIntegral,
 )
 from .funnel import generator_system, build_partition
-from .group_ring import _require_one_mod2, u_chi1
+from .group_ring import _gammas, _require_one_mod2
 from .real_basis import r_table_tokens, s_table_tokens
 from .version import TOOL_VERSION
 
 DEFAULT_WALK = (4, 5, 6, 7)
+
+# Largest coefficient bit-length, as bounded by _check_word_size, that unit
+# evaluates exactly.  The gammas are printed in decimal, and Python refuses
+# to print an int of more than 4300 digits (about 14,000 bits) by default.
+MAX_WORD_BITS = 1 << 13
 
 
 class _UsageError(Exception):
@@ -153,6 +159,24 @@ def _cmd_funnel(args: argparse.Namespace, out: TextIO) -> int:
     return 0
 
 
+def _check_word_size(word) -> None:
+    """Refuse a word whose exact value may have coefficients over
+    MAX_WORD_BITS bits.
+
+    For odd k, |1 + 2cos(2 pi k / 2^n)| lies between 4 / (3 * 2^n) and 3,
+    so every complex embedding of d_j or 1/d_j is below 2^n in absolute
+    value.  A coefficient of an element of Z[alpha] is the mean of its
+    embeddings times roots of unity, so the value of alpha^a * prod d_j^e_j
+    has coefficients below 2^(n * sum |e_j|).
+    """
+    bits = word.level.n * sum(abs(e) for _, e in word.d_exps)
+    if bits > MAX_WORD_BITS:
+        raise _UsageError(
+            f"word {word.render()!r} is too large to evaluate: its coefficients "
+            f"may need {bits} bits, over the budget of {MAX_WORD_BITS}"
+        )
+
+
 def _cmd_unit(args: argparse.Namespace, out: TextIO) -> int:
     level = _level_arg(args.n)
     try:
@@ -173,8 +197,9 @@ def _cmd_unit(args: argparse.Namespace, out: TextIO) -> int:
             out,
         )
         return 2
+    _check_word_size(word)
     try:
-        image = u_chi1(eval_word(word))
+        image = _gammas(eval_word(word))
     except NotIntegral as exc:
         raise InternalInconsistency(f"u_chi1 refuses a word 1 mod 2: {exc}") from None
     _dump(

@@ -50,17 +50,58 @@ def convolve(x: Sequence[int], y: Sequence[int]) -> list[int]:
     """Linear product of two coefficient vectors of equal length m, padded
     to length 2m.
 
-    The nonzero terms of y are listed once and the zeros of x are skipped,
-    so a sparse operand is cheap in either position.  Z[alpha] folds the
-    result by x^m = -1, the group ring by x^m = 1.
+    Z[alpha] folds the result by x^m = -1, the group ring by x^m = 1.  With
+    nx and ny nonzero entries, dense operands (nx * ny >= 32 * m) go through
+    one big-integer multiply (_kronecker); otherwise a double loop pairs
+    the nonzero terms of y with the nonzeros of x, so a sparse operand is
+    cheap in either position.
     """
+    m = len(x)
+    nx = m - x.count(0)
+    ny = m - y.count(0)
+    if nx * ny >= 32 * m:
+        return _kronecker(x, y, min(nx, ny))
     terms = [(j, c) for j, c in enumerate(y) if c]
-    full = [0] * (2 * len(x))
+    full = [0] * (2 * m)
     for i, a in enumerate(x):
         if a:
             for j, c in terms:
                 full[i + j] += a * c
     return full
+
+
+def _kronecker(x: Sequence[int], y: Sequence[int], overlap: int) -> list[int]:
+    """convolve by Kronecker substitution, where no output coefficient sums
+    more than overlap products.
+
+    Each vector is packed into one integer with a slot of B bytes per
+    coefficient, the two integers are multiplied once, and the 2m slots
+    are read back.  Slots are written and read through a bias of
+    h = 2^(8B-1), so each holds a nonnegative value and no borrow crosses
+    a slot.  With 8B - 1 >= bits(max|x|) + bits(max|y|) + bitlen(overlap),
+    every output coefficient obeys |sum a_i * b_j| < 2^(8B-1) = h.
+    """
+    m = len(x)
+    width = (
+        max(map(abs, x)).bit_length()
+        + max(map(abs, y)).bit_length()
+        + overlap.bit_length()
+        + 8
+    ) // 8
+    bias = 1 << (8 * width - 1)
+    slot = bias.to_bytes(width, "little")
+    biases = int.from_bytes(slot * m, "little")  # h in each of m slots
+
+    def pack(v: Sequence[int]) -> int:
+        biased = b"".join([(c + bias).to_bytes(width, "little") for c in v])
+        return int.from_bytes(biased, "little") - biases
+
+    product = pack(x) * pack(y) + int.from_bytes(slot * (2 * m), "little")
+    raw = product.to_bytes(2 * m * width, "little")
+    return [
+        int.from_bytes(raw[k : k + width], "little") - bias
+        for k in range(0, 2 * m * width, width)
+    ]
 
 
 def _check_same_level(a: CycInt, b: CycInt) -> None:

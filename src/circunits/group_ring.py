@@ -102,6 +102,12 @@ def u_chi1(beta: CycInt) -> GroupRingElt:
     nrm = beta.norm()
     if nrm not in (1, -1):
         raise NotAUnit(f"norm is {nrm}, not +-1")
+    return _gammas(beta)
+
+
+def _gammas(beta: CycInt) -> GroupRingElt:
+    """u_chi1 without the norm check, for a beta known to be a unit, such
+    as the value of a word in alpha and the d_j."""
     _require_one_mod2(pack_bits(beta.coeffs))
     level = beta.level
     c = (beta - CycInt.one(level)).coeffs

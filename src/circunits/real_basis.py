@@ -10,6 +10,7 @@ what makes unit congruences linear in these coordinates.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .cyclotomic import CycInt, Level
 from .errors import InternalInconsistency, NotReal
@@ -135,6 +136,18 @@ def from_special_basis(level: Level, coords: tuple[int, ...]) -> RealElem:
     return RealElem(level, tuple(out))
 
 
+@lru_cache(maxsize=None)
+def _position_labels(n: int) -> tuple[str, ...]:
+    """Labels of the B-positions at level n: 1, s_1 .. s_{2^(n-3)},
+    r_1 .. r_{2^(n-3)-1}."""
+    quarter = 1 << (n - 3)
+    return (
+        "1",
+        *(f"s_{p}" for p in range(1, quarter + 1)),
+        *(f"r_{t}" for t in range(1, quarter)),
+    )
+
+
 @dataclass(frozen=True, slots=True)
 class SpecialCoordsMod2:
     """B-coordinates reduced mod 2, packed into an int: bit p is the
@@ -158,19 +171,18 @@ class SpecialCoordsMod2:
         return self.mask == 0
 
     def position_label(self, p: int) -> str:
-        quarter = 1 << (self.level.n - 3)
-        if p == 0:
-            return "1"
-        if p <= quarter:
-            return f"s_{p}"
-        return f"r_{p - quarter}"
+        return _position_labels(self.level.n)[p]
 
     def terms(self) -> tuple[str, ...]:
-        return tuple(
-            self.position_label(p)
-            for p in range(self.mask.bit_length())
-            if (self.mask >> p) & 1
-        )
+        """Labels of the set positions, lowest first; visits only set bits."""
+        labels = _position_labels(self.level.n)
+        terms = []
+        mask = self.mask
+        while mask:
+            low = mask & -mask
+            terms.append(labels[low.bit_length() - 1])
+            mask ^= low
+        return tuple(terms)
 
     def render(self) -> str:
         """Canonical text form, e.g. '1+r_2+r_3'; '0' for the zero class."""

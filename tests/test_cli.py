@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -240,11 +241,26 @@ def test_unit_admits_minus_one_times_a_word(capsys):
     assert out == json.dumps(expected, indent=2) + "\n"
 
 
+def test_unit_refuses_words_over_the_work_budget(monkeypatch, capsys):
+    # d1^100000000000 is 1 mod 2 at n = 4 (the exponent is 0 mod 4)
+    _no_exact_arithmetic(monkeypatch)
+    start = time.monotonic()
+    code, out, err = run(capsys, "unit", "--n", "4", "--word", "d1^100000000000")
+    assert time.monotonic() - start < 1.0
+    assert (code, out) == (1, "")
+    assert err.startswith("usage error: word 'd1^100000000000' is too large")
+    assert f"budget of {cli.MAX_WORD_BITS}" in err
+    # 4 * 2052 = 8208 bits is just over the budget of 8192
+    code, out, err = run(capsys, "unit", "--n", "4", "--word", "d1^2052")
+    assert (code, out) == (1, "")
+    assert "may need 8208 bits, over the budget of 8192" in err
+
+
 def test_unit_parity_and_exact_disagreement_exits_3(monkeypatch, capsys):
     def refuse(beta):
         raise NotIntegral("trace coefficient at x^1 is odd; beta is not 1 mod 2")
 
-    monkeypatch.setattr(cli, "u_chi1", refuse)
+    monkeypatch.setattr(cli, "_gammas", refuse)
     code, out, err = run(capsys, "unit", "--n", "4", "--word", "d1^4")
     assert (code, out) == (3, "")
     assert err.startswith("internal disagreement: u_chi1 refuses a word 1 mod 2")

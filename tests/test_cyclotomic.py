@@ -14,15 +14,18 @@ from hypothesis import strategies as st
 from circunits import (
     CycInt,
     EvenGaloisIndex,
+    GroupRingElt,
     Level,
     LevelMismatch,
     NotAUnit,
     UnitWord,
     beta,
     eval_word,
+    gr_mul,
     seq_d,
     seq_s,
 )
+from circunits import cyclotomic
 
 
 def random_elem(level: Level, rng: random.Random, bound: int = 9) -> CycInt:
@@ -176,6 +179,141 @@ def test_mul_against_double_loop(n, data):
     a, b = data.draw(product_operands(lv)), data.draw(product_operands(lv))
     assert a * b == ref_negacyclic(a, b)
     assert b * a == ref_negacyclic(b, a)
+
+
+# ---------------------------------------------------------------------- #
+# the dense (Kronecker) path of convolve
+
+DENSE_RULE = 32  # convolve takes the dense path iff nx * ny >= 32 * m
+
+
+def ref_linear(x, y) -> list:
+    """Oracle: the double loop over the nonzero entries of x and y."""
+    full = [0] * (2 * len(x))
+    ys = [(j, b) for j, b in enumerate(y) if b]
+    for i, a in enumerate(x):
+        if a:
+            for j, b in ys:
+                full[i + j] += a * b
+    return full
+
+
+def kernel_counts(m: int) -> list:
+    """(nx, ny) nonzero counts on both sides of the dense rule and exactly
+    at it, plus zero, single-nonzero and 3-term operands.  Dense pairs with
+    min(nx, ny) = 2^L - 1 (63, m - 1) fill a slot to its bound."""
+    counts = {(0, m), (1, 1), (1, m), (3, m)}
+    if m <= 256:  # the oracle's cost grows as nx * ny
+        counts |= {(m, m), (m, m - 1), (m // 2, m // 2)}
+    if m >= DENSE_RULE:
+        counts |= {(m, DENSE_RULE - 1), (m, DENSE_RULE)}  # below, at
+        if m > DENSE_RULE:
+            counts |= {(m, DENSE_RULE + 1), (m, 2 * DENSE_RULE - 1)}  # above
+        s = 1
+        while s * s < DENSE_RULE * m:
+            s += 1
+        counts |= {(s, s), (s - 1, s - 1)}  # at or just above, then below
+    return sorted(counts)
+
+
+def kernel_vector(m: int, count: int, kind: str, bits: int, rng) -> list:
+    """count nonzero entries of bit-length bits at seeded positions: "low"
+    makes each -(2^(bits-1)), "high" each 2^bits - 1, "neg" each
+    -(2^bits - 1), "mixed" draws signed values."""
+    v = [0] * m
+    for i in rng.sample(range(m), count):
+        if kind == "low":
+            v[i] = -(1 << (bits - 1))
+        elif kind == "high":
+            v[i] = (1 << bits) - 1
+        elif kind == "neg":
+            v[i] = 1 - (1 << bits)
+        else:
+            v[i] = rng.choice((-1, 1)) * rng.randint(1, (1 << bits) - 1)
+    return v
+
+
+# (kind of x, kind of y, bits of x, residue r): y gets the fewest bits, at
+# least those of x, with bits(x) + bits(y) + bitlen(min(nx, ny)) = r mod 8.
+# At r = 7 a slot has no spare bit: 2^L - 1 overlapping products of
+# all-(2^k - 1) operands come within a few per cent of 2^(8B-1).  At r = 0
+# a slot one byte narrower would overflow.
+KERNEL_KINDS = [
+    ("high", "high", 9, 7),
+    ("high", "neg", 30, 0),
+    ("mixed", "mixed", 100, 7),
+    ("low", "high", 7, 0),
+    ("neg", "low", 64, 3),
+]
+
+
+def kernel_kinds(m: int) -> list:
+    """Every kind up to m = 256, the first three above (the oracle's cost)."""
+    return KERNEL_KINDS if m <= 256 else KERNEL_KINDS[:3]
+
+
+def kernel_operands(m: int, nx: int, ny: int, kinds: tuple, rng) -> tuple:
+    kx, ky, bits, r = kinds
+    y_bits = bits + (r - 2 * bits - min(nx, ny).bit_length()) % 8
+    return kernel_vector(m, nx, kx, bits, rng), kernel_vector(m, ny, ky, y_bits, rng)
+
+
+@pytest.mark.parametrize("m", [1 << k for k in range(2, 12)])
+def test_convolve_against_double_loop(monkeypatch, m):
+    calls = []
+
+    def spy(x, y, overlap):
+        calls.append(overlap)
+        return dense(x, y, overlap)
+
+    dense = cyclotomic._kronecker
+    monkeypatch.setattr(cyclotomic, "_kronecker", spy)
+    rng = random.Random(m)
+    for nx, ny in kernel_counts(m):
+        for kinds in kernel_kinds(m):
+            x, y = kernel_operands(m, nx, ny, kinds, rng)
+            for a, b in ((x, y), (y, x)):
+                calls.clear()
+                expected = ref_linear(a, b)
+                assert cyclotomic.convolve(a, b) == expected
+                assert cyclotomic.convolve(tuple(a), tuple(b)) == expected
+                assert calls == [min(nx, ny)] * 2 * (nx * ny >= DENSE_RULE * m)
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_mul_dense_path_against_double_loop(n):
+    lv = Level(n)
+    m = lv.degree
+    rng = random.Random(n)
+    for nx, ny in kernel_counts(m):
+        for kinds in KERNEL_KINDS[:2]:
+            x, y = kernel_operands(m, nx, ny, kinds, rng)
+            a, b = CycInt(lv, tuple(x)), CycInt(lv, tuple(y))
+            for u, v in ((a, b), (b, a)):
+                full = ref_linear(u.coeffs, v.coeffs)
+                expected = tuple(full[i] - full[i + m] for i in range(m))
+                assert (u * v).coeffs == expected
+
+
+def test_sparse_products_never_take_the_dense_path(monkeypatch):
+    def refuse(x, y, overlap):
+        raise AssertionError("dense path taken for a sparse operand")
+
+    monkeypatch.setattr(cyclotomic, "_kronecker", refuse)
+    for n in range(3, 13):
+        lv = Level(n)
+        dense = random_elem(lv, random.Random(n), bound=1 << 300)
+        for j in (1, 3, lv.degree - 3):
+            d = seq_d(lv, j)
+            assert d * dense == dense * d
+        alpha = CycInt.monomial(lv, 5)
+        assert (dense * alpha) * CycInt.monomial(lv, -5) == dense
+        coeffs = dense.coeffs + tuple(-c for c in dense.coeffs)
+        wide = GroupRingElt(lv, coeffs)
+        x3 = GroupRingElt(lv, (1, 1) + (0,) * (lv.order - 3) + (1,))
+        assert gr_mul(x3, wide) == gr_mul(wide, x3)
+        x = GroupRingElt.x_power(lv, 1)
+        assert gr_mul(gr_mul(wide, x), GroupRingElt.x_power(lv, -1)) == wide
 
 
 def test_level_mismatch_rejected():

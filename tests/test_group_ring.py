@@ -34,6 +34,7 @@ from circunits import (
     v1_generators,
     word_mod2,
 )
+from test_cyclotomic import KERNEL_KINDS, kernel_counts, kernel_operands, ref_linear
 
 D1_POW4_COEFFS = (19, 16, 10, 4, 0, -4, -10, -16)
 D1_POW4_GAMMAS = (10, 8, 5, 2, 0, -2, -5, -8, -9, -8, -5, -2, 0, 2, 5, 8)
@@ -158,6 +159,23 @@ def test_gr_mul_against_double_loop(n, data):
     a, b = data.draw(group_ring_operands(lv)), data.draw(group_ring_operands(lv))
     assert gr_mul(a, b) == ref_cyclic(a, b)
     assert gr_mul(b, a) == ref_cyclic(b, a)
+
+
+@pytest.mark.parametrize("n", range(3, 12))
+def test_gr_mul_dense_path_against_double_loop(n):
+    """Both sides of convolve's dense rule and exactly at it, group sizes
+    8..2048."""
+    lv = Level(n)
+    size = lv.order
+    rng = random.Random(n)
+    for nx, ny in kernel_counts(size):
+        for kinds in KERNEL_KINDS[:2]:
+            x, y = kernel_operands(size, nx, ny, kinds, rng)
+            a, b = GroupRingElt(lv, tuple(x)), GroupRingElt(lv, tuple(y))
+            for u, v in ((a, b), (b, a)):
+                full = ref_linear(u.coeffs, v.coeffs)
+                expected = tuple(full[i] + full[i + size] for i in range(size))
+                assert gr_mul(u, v).coeffs == expected
 
 
 # ---------------------------------------------------------------------- #

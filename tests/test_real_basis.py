@@ -223,6 +223,39 @@ def test_special_mod2_packing():
         SpecialCoordsMod2(lv, 1 << 4)  # n = 4 has only 4 B-positions
 
 
+def _terms_by_bits(cls):
+    # the per-position loop and position labels that terms() replaces
+    quarter = 1 << (cls.level.n - 3)
+
+    def label(p):
+        if p == 0:
+            return "1"
+        if p <= quarter:
+            return f"s_{p}"
+        return f"r_{p - quarter}"
+
+    return tuple(
+        label(p) for p in range(cls.mask.bit_length()) if (cls.mask >> p) & 1
+    )
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_terms_against_bit_loop(n):
+    rng = random.Random(n)
+    lv = Level(n)
+    width = 1 << (n - 2)
+    masks = [0, 1, (1 << width) - 1, 1 << (width - 1), 1 | 1 << (width - 1)]
+    masks += [rng.getrandbits(width) for _ in range(20)]
+    masks += [rng.getrandbits(width) & rng.getrandbits(width) for _ in range(20)]
+    for mask in masks:
+        cls = SpecialCoordsMod2(lv, mask)
+        assert cls.terms() == _terms_by_bits(cls)
+    everything = SpecialCoordsMod2(lv, (1 << width) - 1)
+    assert [everything.position_label(p) for p in range(width)] == list(
+        _terms_by_bits(everything)
+    )
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_special_mod2_from_parities_agrees(seed):
     rng = random.Random(seed)
