@@ -10,7 +10,6 @@ from __future__ import annotations
 
 __all__ = [
     "gf2_rank",
-    "gf2_rref",
     "pack_bits",
     "unpack_bits",
     "cyc_mul_f2",
@@ -29,31 +28,25 @@ def pack_bits(bits) -> int:
 
 
 def unpack_bits(value: int, width: int) -> tuple[int, ...]:
-    return tuple((value >> i) & 1 for i in range(width))
-
-
-def gf2_rref(rows: list[int]) -> list[int]:
-    """Reduced row echelon form; returns the nonzero rows.
-
-    Pivots are chosen from the highest set bit downward, which keeps the
-    result deterministic for a given input order.
-    """
-    reduced: list[int] = []
-    for row in rows:
-        for r in reduced:
-            if row & (1 << (r.bit_length() - 1)):
-                row ^= r
-        if row:
-            # clear this pivot from earlier rows
-            pivot = 1 << (row.bit_length() - 1)
-            reduced = [r ^ row if r & pivot else r for r in reduced]
-            reduced.append(row)
-    reduced.sort(reverse=True)
-    return reduced
+    """The low `width` bits of value, lowest first."""
+    # the slice reverses the digits and drops the "0" that format gives for
+    # width 0; iterating the translated bytes yields the ints 0 and 1
+    digits = format(value & ((1 << width) - 1), f"0{width}b")[: -width - 1 : -1]
+    return tuple(digits.encode().translate(bytes.maketrans(b"01", b"\0\1")))
 
 
 def gf2_rank(rows: list[int]) -> int:
-    return len(gf2_rref(rows))
+    """Rank by forward elimination: each row is reduced by the stored row
+    with the same top bit until it vanishes or has a new top bit."""
+    pivots: dict[int, int] = {}
+    for row in rows:
+        while row:
+            top = row.bit_length()
+            if top not in pivots:
+                pivots[top] = row
+                break
+            row ^= pivots[top]
+    return len(pivots)
 
 
 # ---------------------------------------------------------------------- #

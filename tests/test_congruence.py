@@ -447,3 +447,102 @@ def test_transpose_against_bit_loop(n):
             assert congruence._transpose(masks, positions) == _transpose_by_bits(
                 masks, positions
             )
+
+
+# ---------------------------------------------------------------------- #
+# the exhaustive count
+
+
+def _brute_force_kernel(masks, m):
+    # multiply out every subset on its own
+    hits = 0
+    for subset in range(1 << len(masks)):
+        product = 1
+        for i, mask in enumerate(masks):
+            if subset >> i & 1:
+                product = cyc_mul_f2(mask, product, m)
+        hits += product == 1
+    return hits
+
+
+def _random_involutions(rng, count, m):
+    # x^2 = 1 iff (1 + x)^2 = 0 iff 1 + x lies in (1 + alpha)^(m/2), the
+    # multiples of 1 + alpha^(m/2)
+    pi_half = 1 | 1 << m // 2
+    return [1 ^ cyc_mul_f2(pi_half, rng.getrandbits(m), m) for _ in range(count)]
+
+
+@pytest.mark.parametrize("m", [4, 8, 16, 32, 64, 128, 256])
+def test_exhaustive_kernel_against_brute_force(m):
+    rng = random.Random(m)
+    for g in range(11):
+        masks = _random_involutions(rng, g, m)
+        assert congruence._exhaustive_kernel(masks, m) == (
+            1 << g,
+            _brute_force_kernel(masks, m),
+        )
+
+
+@pytest.mark.parametrize("m", [4, 16, 64, 256])
+def test_exhaustive_kernel_counts_planted_relations(m):
+    # the mask 1, a repeated mask and the product of two others each lie in
+    # the span of the rest, so each doubles the kernel
+    rng = random.Random(100 + m)
+    for g in (3, 4, 6, 7):
+        base = _random_involutions(rng, g, m)
+        planted = base + [1, base[0], cyc_mul_f2(base[1], base[2], m)]
+        rng.shuffle(planted)
+        _, base_kernel = congruence._exhaustive_kernel(base, m)
+        _, kernel = congruence._exhaustive_kernel(planted, m)
+        assert kernel == 8 * base_kernel == _brute_force_kernel(planted, m)
+
+
+def test_exhaustive_kernel_rejects_non_involutions():
+    m = 16
+    involution = _random_involutions(random.Random(0), 1, m)[0]
+    for bad in (0, 1 | 2, 1 << 3):
+        with pytest.raises(InternalInconsistency, match="not an involution"):
+            congruence._exhaustive_kernel([involution, bad], m)
+
+
+def test_exhaustive_kernel_products_go_through_cyc_mul_f2(monkeypatch):
+    # one involution check per mask plus 2^8 - 1 products per half
+    lv = Level(8)
+    masks = [
+        congruence._word_parities(lw.word)
+        for lw in generator_system(lv).sqrt_gens[: congruence.WALK_GENERATORS]
+    ]
+    calls = []
+
+    def counting(a, b, width):
+        calls.append(width)
+        return cyc_mul_f2(a, b, width)
+
+    monkeypatch.setattr(congruence, "cyc_mul_f2", counting)
+    assert congruence._exhaustive_kernel(masks, lv.degree) == (1 << 16, 1)
+    assert len(calls) == 16 + 2 * 255
+
+
+def _drop_last_row(monkeypatch):
+    # every nonzero row of the n = 6 system is needed for full rank, so the
+    # linearized route predicts a kernel the exhaustive count does not see
+    transpose = congruence._transpose
+
+    def dropped(masks, positions):
+        return transpose(masks, positions)[:-1]
+
+    monkeypatch.setattr(congruence, "_transpose", dropped)
+
+
+def test_verify_detects_disagreeing_routes(monkeypatch):
+    _drop_last_row(monkeypatch)
+    with pytest.raises(DisagreementError, match="exhaustive kernel has 1 elements"):
+        verify_main_theorem(Level(6))
+
+
+def test_cli_exits_3_on_disagreeing_routes(monkeypatch, capsys):
+    _drop_last_row(monkeypatch)
+    assert main(["verify", "--n", "6"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "internal disagreement" in captured.err

@@ -17,7 +17,6 @@ from circunits.gf2 import (
     cyc_pow_f2,
     cyc_square_f2,
     gf2_rank,
-    gf2_rref,
     pack_bits,
     unpack_bits,
 )
@@ -39,6 +38,22 @@ def random_rows(rng, count, width):
 # GF(2)
 
 
+def test_unpack_bits_against_bit_loop():
+    rng = random.Random(7)
+    widths = list(range(130))
+    widths += [w + d for w in (256, 512, 1024, 2048) for d in (-1, 0, 1)]
+    for width in widths:
+        for value in (
+            0,
+            (1 << width) - 1,
+            rng.getrandbits(width + 1),
+            rng.getrandbits(width + 70),  # wider than width
+            -rng.getrandbits(width + 3),
+        ):
+            expected = tuple((value >> i) & 1 for i in range(width))
+            assert unpack_bits(value, width) == expected
+
+
 def test_pack_unpack():
     assert pack_bits((1, 0, 1, 1)) == 0b1101
     assert unpack_bits(0b1101, 4) == (1, 0, 1, 1)
@@ -48,6 +63,22 @@ def test_pack_unpack():
     assert pack_bits((3, -2, -1, 0)) == 0b0101
 
 
+def planted_rows(rng, rank, count, width):
+    """`rank` independent rows with distinct top bits, then random XOR
+    combinations of them up to `count` rows, shuffled: the span has rank
+    exactly `rank`."""
+    tops = rng.sample(range(width), rank)
+    basis = [1 << t | rng.getrandbits(t) for t in tops]
+    rows = list(basis)
+    while len(rows) < count:
+        row = 0
+        for b in rng.sample(basis, rng.randint(0, rank)):
+            row ^= b
+        rows.append(row)
+    rng.shuffle(rows)
+    return rows
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_rank_against_span_oracle(seed):
     rng = random.Random(seed)
@@ -55,17 +86,13 @@ def test_rank_against_span_oracle(seed):
         rows = random_rows(rng, rng.randint(0, 6), rng.randint(1, 8))
         rank = gf2_rank(rows)
         assert 1 << rank == span_size(rows)
-
-
-def test_rref_is_canonical():
-    rows = [0b110, 0b011, 0b101]
-    reduced = gf2_rref(rows)
-    assert gf2_rank(reduced) == gf2_rank(rows)
-    assert span_size(reduced) == span_size(rows)
-    # reduced rows are sorted and have distinct pivots
-    pivots = [r.bit_length() for r in reduced]
-    assert pivots == sorted(pivots, reverse=True)
-    assert len(set(pivots)) == len(pivots)
+    # wide rows, where the planted rank stands in for the span oracle
+    for width in (64, 256, 2048):
+        for rank in (0, 1, rng.randint(2, 63), 64):
+            count = rng.randint(rank, 512)
+            assert gf2_rank(planted_rows(rng, rank, count, width)) == rank
+    rank = rng.randint(448, 512)
+    assert gf2_rank(planted_rows(rng, rank, 512, 2048)) == rank
 
 
 @pytest.mark.parametrize("seed", range(5))
