@@ -3,6 +3,15 @@
 Elements are dense integer coefficient vectors of length 2^(n-1), reduced
 eagerly by the minimal-polynomial rule alpha^(2^(n-1)) = -1.  All arithmetic
 is over arbitrary-precision integers; nothing here ever rounds.
+
+Products use the ring's structure where it halves the work.  A square
+packs its operand once, so the big-integer multiply is a squaring.  The
+norm descends the subfield tower by two half-length squares: with
+x = E(alpha^2) + alpha * O(alpha^2) and beta = alpha^2,
+
+    x(alpha) * x(-alpha) = E(beta)^2 - beta * O(beta)^2,
+
+an element of Z[beta], the ring one level down.
 """
 
 from __future__ import annotations
@@ -76,10 +85,11 @@ def _kronecker(x: Sequence[int], y: Sequence[int], overlap: int) -> list[int]:
 
     Each vector is packed into one integer with a slot of B bytes per
     coefficient, the two integers are multiplied once, and the 2m slots
-    are read back.  Slots are written and read through a bias of
-    h = 2^(8B-1), so each holds a nonnegative value and no borrow crosses
-    a slot.  With 8B - 1 >= bits(max|x|) + bits(max|y|) + bitlen(overlap),
-    every output coefficient obeys |sum a_i * b_j| < 2^(8B-1) = h.
+    are read back; a square (y is x) packs once and squares that integer.
+    Slots are written and read through a bias of h = 2^(8B-1), so each
+    holds a nonnegative value and no borrow crosses a slot.  With
+    8B - 1 >= bits(max|x|) + bits(max|y|) + bitlen(overlap), every output
+    coefficient obeys |sum a_i * b_j| < 2^(8B-1) = h.
     """
     m = len(x)
     width = (
@@ -96,7 +106,10 @@ def _kronecker(x: Sequence[int], y: Sequence[int], overlap: int) -> list[int]:
         biased = b"".join([(c + bias).to_bytes(width, "little") for c in v])
         return int.from_bytes(biased, "little") - biases
 
-    product = pack(x) * pack(y) + int.from_bytes(slot * (2 * m), "little")
+    px = pack(x)
+    product = (px * px if y is x else px * pack(y)) + int.from_bytes(
+        slot * (2 * m), "little"
+    )
     raw = product.to_bytes(2 * m * width, "little")
     return [
         int.from_bytes(raw[k : k + width], "little") - bias
@@ -182,7 +195,7 @@ class CycInt:
         _check_same_level(self, other)
         m = self.level.degree
         full = convolve(self.coeffs, other.coeffs)
-        return CycInt(self.level, tuple(full[k] - full[k + m] for k in range(m)))
+        return CycInt(self.level, tuple([a - b for a, b in zip(full[:m], full[m:])]))
 
     def __pow__(self, exponent: int) -> CycInt:
         if exponent < 0:
@@ -231,10 +244,15 @@ class CycInt:
         """(c, p) with p = self * c, one step down the subfield tower.
 
         At n = 3, c is the product of the three nontrivial conjugates and p
-        the rational norm.  Above, c is the image under alpha ->
+        the rational norm.  Above, c = x(-alpha), the image under alpha ->
         alpha^(2^(n-1)+1) = -alpha, which generates the Galois group over
-        the subfield generated by alpha^2; then p has only even-exponent
-        coefficients and is returned compressed to level n-1.
+        the subfield generated by beta = alpha^2.  Splitting
+        x = E(beta) + alpha * O(beta) by exponent parity,
+
+            p = x(alpha) * x(-alpha) = E(beta)^2 - beta * O(beta)^2,
+
+        two half-length squares folded by beta^(m/2) = -1, returned at
+        level n-1.
         """
         if self.level.n == 3:
             cofactor = self.galois(3) * self.galois(5) * self.galois(7)
@@ -242,13 +260,14 @@ class CycInt:
             if not prod.is_rational():
                 raise InternalInconsistency("conjugate product is not rational")
             return cofactor, prod
-        cofactor = self.galois(self.level.degree + 1)
-        prod = self * cofactor
-        if any(prod.coeffs[1::2]):
-            raise InternalInconsistency(
-                "conjugate pair product has an odd-exponent coefficient"
-            )
-        return cofactor, CycInt(Level(self.level.n - 1), prod.coeffs[::2])
+        even, odd = self.coeffs[0::2], self.coeffs[1::2]
+        cofactor = list(self.coeffs)
+        cofactor[1::2] = [-v for v in odd]
+        half = len(even)
+        full = [e - o for e, o in zip(convolve(even, even), [0] + convolve(odd, odd))]
+        prod = tuple([a - b for a, b in zip(full[:half], full[half:])])
+        sub = Level(self.level.n - 1)
+        return CycInt(self.level, tuple(cofactor)), CycInt(sub, prod)
 
     def norm(self) -> int:
         """Product of all 2^(n-1) Galois conjugates, a rational integer."""

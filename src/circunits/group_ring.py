@@ -13,7 +13,13 @@ from dataclasses import dataclass
 
 from .circular_units import eval_word
 from .cyclotomic import CycInt, Level, convolve
-from .errors import LevelMismatch, LevelTooSmall, NotAUnit, NotIntegral
+from .errors import (
+    InternalInconsistency,
+    LevelMismatch,
+    LevelTooSmall,
+    NotAUnit,
+    NotIntegral,
+)
 from .funnel import generator_system
 from .gf2 import pack_bits
 
@@ -75,12 +81,35 @@ class GroupRingElt:
 
 
 def gr_mul(a: GroupRingElt, b: GroupRingElt) -> GroupRingElt:
-    """Cyclic convolution; x^(2^n) = 1."""
+    """Cyclic convolution; x^(2^n) = 1.
+
+    With m = 2^(n-1), x^(2m) - 1 = (x^m - 1)(x^m + 1).  Writing
+    a_(+-) = a_lo +- a_hi for the halves of the coefficients,
+
+        p = a_+ * b_+ mod x^m - 1,  q = a_- * b_- mod x^m + 1,
+        (a * b)_lo = (p + q) / 2,   (a * b)_hi = (p - q) / 2,
+
+    two half-length products.  The halving is exact since p = q mod 2; an
+    odd p_k - q_k raises InternalInconsistency.  For u_chi1 images a_+ = 1,
+    so a product of two of them costs one Z[alpha]-size product.
+    """
     if a.level != b.level:
         raise LevelMismatch("group ring elements live at different levels")
-    size = a.level.order
-    full = convolve(a.coeffs, b.coeffs)
-    return GroupRingElt(a.level, tuple(full[k] + full[k + size] for k in range(size)))
+    m = a.level.degree
+    a_lo, a_hi, b_lo, b_hi = a.coeffs[:m], a.coeffs[m:], b.coeffs[:m], b.coeffs[m:]
+    full = convolve(
+        [x + y for x, y in zip(a_lo, a_hi)], [x + y for x, y in zip(b_lo, b_hi)]
+    )
+    p = [x + y for x, y in zip(full[:m], full[m:])]
+    full = convolve(
+        [x - y for x, y in zip(a_lo, a_hi)], [x - y for x, y in zip(b_lo, b_hi)]
+    )
+    q = [x - y for x, y in zip(full[:m], full[m:])]
+    gap = [x - y for x, y in zip(p, q)]
+    if any(g & 1 for g in gap):
+        raise InternalInconsistency("group-ring product: p - q is odd, not 0 mod 2")
+    hi = [g >> 1 for g in gap]
+    return GroupRingElt(a.level, tuple([y + h for y, h in zip(q, hi)] + hi))
 
 
 def _require_one_mod2(parities: int) -> None:

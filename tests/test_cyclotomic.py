@@ -6,6 +6,7 @@ oracle here.
 """
 
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -280,6 +281,33 @@ def test_convolve_against_double_loop(monkeypatch, m):
                 assert calls == [min(nx, ny)] * 2 * (nx * ny >= DENSE_RULE * m)
 
 
+def test_kronecker_square_packs_once():
+    """_kronecker(x, x) squares: same result as _kronecker(x, list(x)),
+    with one call of its packing helper instead of two."""
+    packs = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is pack_code:
+            packs.append(event)
+
+    pack_code = next(
+        c for c in cyclotomic._kronecker.__code__.co_consts
+        if getattr(c, "co_name", None) == "pack"
+    )
+    rng = random.Random(5)
+    for m in (4, 64, 512):
+        x = kernel_vector(m, m, "mixed", 300, rng)
+        for y, calls in ((x, 1), (list(x), 2)):
+            packs.clear()
+            sys.setprofile(profile)
+            try:
+                got = cyclotomic._kronecker(x, y, m)
+            finally:
+                sys.setprofile(None)
+            assert got == ref_linear(x, x)
+            assert len(packs) == calls
+
+
 @pytest.mark.parametrize("n", range(3, 13))
 def test_mul_dense_path_against_double_loop(n):
     lv = Level(n)
@@ -467,6 +495,67 @@ def test_invert_nonunit_rejected():
     with pytest.raises(NotAUnit):
         CycInt.from_int(lv, 2).invert_unit()
     with pytest.raises(NotAUnit):
+        (CycInt.one(lv) - CycInt.monomial(lv, 1)).invert_unit()
+
+
+def galois_descent(x: CycInt) -> tuple[CycInt, CycInt]:
+    """Oracle for _descend above n = 3: the conjugate c = x.galois(m + 1),
+    the full product x * c, its odd-exponent coefficients checked to be
+    zero and the rest compressed one level down."""
+    conj = x.galois(x.level.degree + 1)
+    prod = x * conj
+    assert not any(prod.coeffs[1::2])
+    return conj, CycInt(Level(x.level.n - 1), prod.coeffs[::2])
+
+
+def descend_against_galois_route(x: CycInt) -> None:
+    while x.level.n > 3:
+        got = x._descend()
+        assert got == galois_descent(x)
+        x = got[1]
+
+
+def dense_unit(lv: Level, rng: random.Random, bits: int) -> CycInt:
+    """+-alpha^k times d_j powers, until a coefficient has bits bits."""
+    u = CycInt.monomial(lv, rng.randrange(lv.order), rng.choice((1, -1)))
+    while max(map(abs, u.coeffs)).bit_length() < bits:
+        u = u * seq_d(lv, rng.randrange(1, lv.degree, 2)) ** rng.randint(8, 40)
+    return u
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_norm_descent_on_dense_elements(n):
+    """Dense elements with coefficients up to 400 bits: every step of the
+    descent against the Galois route, the norm against the flat product of
+    conjugates up to n = 6."""
+    lv = Level(n)
+    rng = random.Random(100 + n)
+    for bits in (1, 400):
+        x = random_elem(lv, rng, bound=1 << bits)
+        descend_against_galois_route(x)
+        if n <= 6:
+            assert x.norm() == flat_norm(x)
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_invert_unit_on_dense_units(n):
+    lv = Level(n)
+    rng = random.Random(200 + n)
+    one = CycInt.one(lv)
+    for bits in (40, 400):
+        u = dense_unit(lv, rng, bits)
+        descend_against_galois_route(u)
+        assert u.norm() in (1, -1)
+        assert u * u.invert_unit() == one
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_non_units_keep_their_messages(n):
+    lv = Level(n)
+    two = CycInt.from_int(lv, 2)
+    with pytest.raises(NotAUnit, match=rf"^norm is {2**lv.degree}, not \+-1$"):
+        two.invert_unit()
+    with pytest.raises(NotAUnit, match=r"^norm is 2, not \+-1$"):
         (CycInt.one(lv) - CycInt.monomial(lv, 1)).invert_unit()
 
 

@@ -1,0 +1,71 @@
+"""Frozen exact outputs: SHA-256 digests of exact-ring results.
+
+These cover the exact kernels (Z[alpha] products and squares, the norm
+descent, unit inversion and group-ring products) through `unit`,
+`identities` and `tables` stdout, the v1 generator images at n = 7 and one
+n = 10 group-ring product of two u_chi1 images.  A change to how those
+kernels compute must leave these bytes alone.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from circunits import Level, eval_word, gr_mul, parse_word, u_chi1, v1_generators
+from circunits.cli import main
+
+CLI_DIGESTS = [
+    (
+        ("unit", "--n", "9", "--word", "d1^-64 * d3^8 * d61^-8"),
+        2,
+        "43699a45b0af60c8d1a19abb8f44018abe7a2bce7ad71ca437df959ae89d8212",
+    ),
+    (
+        ("unit", "--n", "10", "--word", "d1^-256 * d3^256"),
+        0,
+        "a09402d1663e9301706724b9b55e2c1ba1e3578fccd3fa36d60d6a2e9d8aa380",
+    ),
+    (
+        ("identities", "--n", "9"),
+        0,
+        "5b1d615766402b590a7599702f06e1db510149dffb9c03efe02adff48d12bb44",
+    ),
+    (
+        ("tables", "--n", "5"),
+        0,
+        "67e8d02bf546ef9ca6948f43d08ae1ca379642872d37f81c49d90f987842c6bd",
+    ),
+]
+V1_DIGEST_N7 = "ec45814cd890905bd94efeac7c850e398240bb9f5a06cf7cac65ea4433cb7a63"
+GR_MUL_DIGEST_N10 = "0625d1d2d975d57a82081256a117a285900d301ade88f6a817cbe24b5d2b8aa2"
+
+
+def digest(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "argv, code, expected", CLI_DIGESTS, ids=[" ".join(c[0]) for c in CLI_DIGESTS]
+)
+def test_cli_stdout_bytes(argv, code, expected, capsys):
+    assert main(list(argv)) == code
+    assert digest(capsys.readouterr().out) == expected
+
+
+def test_v1_generator_images_bytes():
+    report = v1_generators(Level(7))
+    doc = {
+        "labels": list(report.labels),
+        "images": [image.to_json_dict() for image in report.images],
+        "torsion": report.torsion_generator.to_json_dict(),
+    }
+    assert digest(json.dumps(doc, sort_keys=True)) == V1_DIGEST_N7
+
+
+def test_group_ring_product_bytes():
+    """u_chi1 of d_1^-256 d_3^256 times u_chi1 of q(1,5)^2 q(0,3) at n = 10."""
+    lv = Level(10)
+    u = u_chi1(eval_word(parse_word(lv, "d1^-256 * d3^256")))
+    v = u_chi1(eval_word(parse_word(lv, "d5^-2 * d251^2 * d3^-1 * d509")))
+    assert digest(json.dumps(gr_mul(u, v).to_json_dict())) == GR_MUL_DIGEST_N10

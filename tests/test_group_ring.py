@@ -18,6 +18,7 @@ from sympy import Poly, symbols
 from circunits import (
     CycInt,
     GroupRingElt,
+    InternalInconsistency,
     Level,
     LevelMismatch,
     LevelTooSmall,
@@ -34,6 +35,7 @@ from circunits import (
     v1_generators,
     word_mod2,
 )
+from circunits import group_ring
 from test_cyclotomic import KERNEL_KINDS, kernel_counts, kernel_operands, ref_linear
 
 D1_POW4_COEFFS = (19, 16, 10, 4, 0, -4, -10, -16)
@@ -159,6 +161,50 @@ def test_gr_mul_against_double_loop(n, data):
     a, b = data.draw(group_ring_operands(lv)), data.draw(group_ring_operands(lv))
     assert gr_mul(a, b) == ref_cyclic(a, b)
     assert gr_mul(b, a) == ref_cyclic(b, a)
+
+
+@pytest.mark.parametrize("n", range(3, 12))
+def test_gr_mul_split_against_double_loop(n):
+    """gr_mul works on a_lo +- a_hi; operands whose sums and differences
+    have odd entries, dense, sparse and of mixed sizes, against ref_cyclic."""
+    lv = Level(n)
+    m = lv.degree
+    rng = random.Random(300 + n)
+    dense = [rng.randint(-(1 << 90), 1 << 90) for _ in range(lv.order)]
+    small = [rng.randint(-3, 3) for _ in range(lv.order)]
+    sparse = [0] * lv.order
+    for i in rng.sample(range(lv.order), 5):
+        sparse[i] = rng.choice((1, -1)) * rng.randint(1, 1 << 40)
+    operands = [GroupRingElt(lv, tuple(v)) for v in (dense, small, sparse)]
+    for a in operands:  # a_lo - a_hi has the parities of a_lo + a_hi
+        assert any((x + y) & 1 for x, y in zip(a.coeffs[:m], a.coeffs[m:]))
+    for a, b in zip(operands, operands[1:] + operands[:1]):
+        assert gr_mul(a, b) == ref_cyclic(a, b)
+
+
+@pytest.mark.parametrize("which", [0, 1])
+def test_gr_mul_parity_guard(monkeypatch, which):
+    """A half-product off by one in one coefficient makes p - q odd there;
+    gr_mul must raise rather than floor the halving."""
+    calls = []
+
+    def perturbed(x, y):
+        full = real(x, y)
+        if len(calls) == which:
+            full[3] += 1
+        calls.append(None)
+        return full
+
+    real = group_ring.convolve
+    monkeypatch.setattr(group_ring, "convolve", perturbed)
+    lv = Level(5)
+    rng = random.Random(which)
+    a, b = (
+        GroupRingElt(lv, tuple(rng.randint(-9, 9) for _ in range(lv.order)))
+        for _ in range(2)
+    )
+    with pytest.raises(InternalInconsistency, match="odd"):
+        gr_mul(a, b)
 
 
 @pytest.mark.parametrize("n", range(3, 12))
