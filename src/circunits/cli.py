@@ -18,7 +18,7 @@ import argparse
 import contextlib
 import json
 import sys
-from typing import ContextManager, Sequence, TextIO
+from typing import Iterator, Sequence, TextIO
 
 from .circular_units import eval_word, parse_word
 from .congruence import (
@@ -59,13 +59,17 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _open_json(path: str | None) -> ContextManager[TextIO]:
+@contextlib.contextmanager
+def _open_json(path: str | None) -> Iterator[TextIO]:
     """The --json target, opened before any work so that a failed run leaves
-    an empty file rather than a stale document; stdout without --json."""
+    an empty file rather than a stale document; stdout without --json.  A
+    target that cannot be opened, written or closed is a usage error."""
     if path is None:
-        return contextlib.nullcontext(sys.stdout)
+        yield sys.stdout
+        return
     try:
-        return open(path, "w", encoding="utf-8")
+        with open(path, "w", encoding="utf-8") as out:
+            yield out
     except OSError as exc:
         raise _UsageError(f"cannot write {path}: {exc.strerror or exc}") from None
 
@@ -159,9 +163,9 @@ def _cmd_funnel(args: argparse.Namespace, out: TextIO) -> int:
     return 0
 
 
-def _check_word_size(word) -> None:
+def _check_word_size(word, bits: int) -> None:
     """Refuse a word whose exact value may have coefficients over
-    MAX_WORD_BITS bits.
+    MAX_WORD_BITS bits, given bits = n * sum |e_j|.
 
     For odd k, |1 + 2cos(2 pi k / 2^n)| lies between 4 / (3 * 2^n) and 3,
     so every complex embedding of d_j or 1/d_j is below 2^n in absolute
@@ -169,7 +173,6 @@ def _check_word_size(word) -> None:
     embeddings times roots of unity, so the value of alpha^a * prod d_j^e_j
     has coefficients below 2^(n * sum |e_j|).
     """
-    bits = word.level.n * sum(abs(e) for _, e in word.d_exps)
     if bits > MAX_WORD_BITS:
         raise _UsageError(
             f"word {word.render()!r} is too large to evaluate: its coefficients "
@@ -183,6 +186,11 @@ def _cmd_unit(args: argparse.Namespace, out: TextIO) -> int:
         word = parse_word(level, args.word)
     except (ValueError, IndexOutOfRange) as exc:
         raise _UsageError(f"bad word {args.word!r}: {exc}") from None
+    bits = level.n * sum(abs(e) for _, e in word.d_exps)
+    if bits.bit_length() > MAX_WORD_BITS:
+        # keeps every exponent printed below, in the refusal or the size
+        # message, short of Python's limit on int-to-decimal conversion
+        raise _UsageError(f"bad word {args.word!r}: its exponents are too large")
     try:
         _require_one_mod2(_word_parities(word))
     except NotIntegral as exc:
@@ -197,7 +205,7 @@ def _cmd_unit(args: argparse.Namespace, out: TextIO) -> int:
             out,
         )
         return 2
-    _check_word_size(word)
+    _check_word_size(word, bits)
     try:
         image = _gammas(eval_word(word))
     except NotIntegral as exc:

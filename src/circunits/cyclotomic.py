@@ -6,12 +6,13 @@ is over arbitrary-precision integers; nothing here ever rounds.
 
 Products use the ring's structure where it halves the work.  A square
 packs its operand once, so the big-integer multiply is a squaring.  The
-norm descends the subfield tower by two half-length squares: with
+norm and the inverse descend the subfield tower Q < Q(i) < ... < Q(alpha),
+all of whose steps are quadratic, by two half-length squares: with
 x = E(alpha^2) + alpha * O(alpha^2) and beta = alpha^2,
 
     x(alpha) * x(-alpha) = E(beta)^2 - beta * O(beta)^2,
 
-an element of Z[beta], the ring one level down.
+an element of Z[beta], the ring one level down, and at length 1 of Z.
 """
 
 from __future__ import annotations
@@ -19,12 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import (
-    EvenGaloisIndex,
-    InternalInconsistency,
-    LevelMismatch,
-    NotAUnit,
-)
+from .errors import EvenGaloisIndex, LevelMismatch, NotAUnit
 
 MIN_LEVEL = 3
 MAX_LEVEL = 12
@@ -117,6 +113,49 @@ def _kronecker(x: Sequence[int], y: Sequence[int], overlap: int) -> list[int]:
     ]
 
 
+def _negacyclic(x: Sequence[int], y: Sequence[int]) -> list[int]:
+    """x * y mod t^m + 1 for vectors of length m: convolve, folded by
+    t^m = -1."""
+    m = len(x)
+    full = convolve(x, y)
+    return [a - b for a, b in zip(full[:m], full[m:])]
+
+
+def _halve(c: Sequence[int]) -> tuple[list[int], list[int]]:
+    """(x(-alpha), x(alpha) * x(-alpha)) for the x with coefficients c.
+
+    alpha -> -alpha generates the Galois group over the subfield of
+    beta = alpha^2, so splitting x = E(beta) + alpha * O(beta) by exponent
+    parity, the product E(beta)^2 - beta * O(beta)^2 is returned as len(c)/2
+    coefficients in powers of beta, where beta^(len(c)/2) = -1.
+    """
+    even, odd = c[0::2], c[1::2]
+    conj = list(c)
+    conj[1::2] = [-v for v in odd]
+    e2 = _negacyclic(even, even)
+    o2 = _negacyclic(odd, odd)
+    # beta * O^2 moves every coefficient up one power; the top one wraps to -1
+    return conj, [e2[0] + o2[-1]] + [a - b for a, b in zip(e2[1:], o2)]
+
+
+def _inverse(c: Sequence[int]) -> list[int]:
+    """1/x = x(-alpha) / (x(alpha) * x(-alpha)), the denominator inverted
+    one level down; at length 1 it is the norm, which must be +-1."""
+    if len(c) == 1:
+        _require_unit(c[0])
+        return list(c)
+    conj, prod = _halve(c)
+    lifted = [0] * len(c)
+    lifted[::2] = _inverse(prod)
+    return _negacyclic(conj, lifted)
+
+
+def _require_unit(norm: int) -> None:
+    """Refuse an element whose norm is not a unit of Z."""
+    if norm not in (1, -1):
+        raise NotAUnit(f"norm is {norm}, not +-1")
+
+
 def _check_same_level(a: CycInt, b: CycInt) -> None:
     if a.level != b.level:
         raise LevelMismatch(f"levels differ: n={a.level.n} vs n={b.level.n}")
@@ -193,9 +232,7 @@ class CycInt:
 
     def __mul__(self, other: CycInt) -> CycInt:
         _check_same_level(self, other)
-        m = self.level.degree
-        full = convolve(self.coeffs, other.coeffs)
-        return CycInt(self.level, tuple([a - b for a, b in zip(full[:m], full[m:])]))
+        return CycInt(self.level, tuple(_negacyclic(self.coeffs, other.coeffs)))
 
     def __pow__(self, exponent: int) -> CycInt:
         if exponent < 0:
@@ -215,9 +252,6 @@ class CycInt:
 
     def is_zero(self) -> bool:
         return all(x == 0 for x in self.coeffs)
-
-    def is_rational(self) -> bool:
-        return all(x == 0 for x in self.coeffs[1:])
 
     # ------------------------------------------------------------------ #
     # Galois action, trace, norm
@@ -240,52 +274,17 @@ class CycInt:
         """
         return self.level.degree * self.coeffs[0]
 
-    def _descend(self) -> tuple[CycInt, CycInt]:
-        """(c, p) with p = self * c, one step down the subfield tower.
-
-        At n = 3, c is the product of the three nontrivial conjugates and p
-        the rational norm.  Above, c = x(-alpha), the image under alpha ->
-        alpha^(2^(n-1)+1) = -alpha, which generates the Galois group over
-        the subfield generated by beta = alpha^2.  Splitting
-        x = E(beta) + alpha * O(beta) by exponent parity,
-
-            p = x(alpha) * x(-alpha) = E(beta)^2 - beta * O(beta)^2,
-
-        two half-length squares folded by beta^(m/2) = -1, returned at
-        level n-1.
-        """
-        if self.level.n == 3:
-            cofactor = self.galois(3) * self.galois(5) * self.galois(7)
-            prod = self * cofactor
-            if not prod.is_rational():
-                raise InternalInconsistency("conjugate product is not rational")
-            return cofactor, prod
-        even, odd = self.coeffs[0::2], self.coeffs[1::2]
-        cofactor = list(self.coeffs)
-        cofactor[1::2] = [-v for v in odd]
-        half = len(even)
-        full = [e - o for e, o in zip(convolve(even, even), [0] + convolve(odd, odd))]
-        prod = tuple([a - b for a, b in zip(full[:half], full[half:])])
-        sub = Level(self.level.n - 1)
-        return CycInt(self.level, tuple(cofactor)), CycInt(sub, prod)
-
     def norm(self) -> int:
-        """Product of all 2^(n-1) Galois conjugates, a rational integer."""
-        _, prod = self._descend()
-        return prod.coeffs[0] if self.level.n == 3 else prod.norm()
+        """Product of all 2^(n-1) Galois conjugates, a rational integer:
+        the coefficients halved until one is left."""
+        c = self.coeffs
+        while len(c) > 1:
+            c = _halve(c)[1]
+        return c[0]
 
     def invert_unit(self) -> CycInt:
-        """Inverse of a unit, computed as conjugate product over the norm."""
-        cofactor, prod = self._descend()
-        if self.level.n == 3:
-            nrm = prod.coeffs[0]
-            if nrm not in (1, -1):
-                raise NotAUnit(f"norm is {nrm}, not +-1")
-            return nrm * cofactor
-        sub_inverse = prod.invert_unit()
-        lifted = [0] * self.level.degree
-        lifted[::2] = sub_inverse.coeffs
-        return cofactor * CycInt(self.level, tuple(lifted))
+        """Inverse of a unit, descending the subfield tower to Z."""
+        return CycInt(self.level, tuple(_inverse(self.coeffs)))
 
     # ------------------------------------------------------------------ #
     # reductions and predicates

@@ -12,14 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .circular_units import eval_word
-from .cyclotomic import CycInt, Level, convolve
-from .errors import (
-    InternalInconsistency,
-    LevelMismatch,
-    LevelTooSmall,
-    NotAUnit,
-    NotIntegral,
-)
+from .cyclotomic import CycInt, Level, _negacyclic, _require_unit, convolve
+from .errors import InternalInconsistency, LevelMismatch, LevelTooSmall, NotIntegral
 from .funnel import generator_system
 from .gf2 import pack_bits
 
@@ -101,10 +95,9 @@ def gr_mul(a: GroupRingElt, b: GroupRingElt) -> GroupRingElt:
         [x + y for x, y in zip(a_lo, a_hi)], [x + y for x, y in zip(b_lo, b_hi)]
     )
     p = [x + y for x, y in zip(full[:m], full[m:])]
-    full = convolve(
+    q = _negacyclic(
         [x - y for x, y in zip(a_lo, a_hi)], [x - y for x, y in zip(b_lo, b_hi)]
     )
-    q = [x - y for x, y in zip(full[:m], full[m:])]
     gap = [x - y for x, y in zip(p, q)]
     if any(g & 1 for g in gap):
         raise InternalInconsistency("group-ring product: p - q is odd, not 0 mod 2")
@@ -128,9 +121,7 @@ def u_chi1(beta: CycInt) -> GroupRingElt:
     gamma_j = c_j / 2 below the fold and -c_{j - m} / 2 above it.  Every
     division must be exact, otherwise beta was not congruent to 1 mod 2.
     """
-    nrm = beta.norm()
-    if nrm not in (1, -1):
-        raise NotAUnit(f"norm is {nrm}, not +-1")
+    _require_unit(beta.norm())
     return _gammas(beta)
 
 
@@ -151,9 +142,7 @@ def is_admissible(beta: CycInt) -> bool:
     Units congruent to 1 mod 2 are automatically real, so this predicate
     matches exactly the inputs on which u_chi1 succeeds.
     """
-    nrm = beta.norm()
-    if nrm not in (1, -1):
-        raise NotAUnit(f"norm is {nrm}, not +-1")
+    _require_unit(beta.norm())
     return beta.is_real() and beta.is_congruent_one_mod2()
 
 

@@ -243,32 +243,27 @@ def rtilde_member(a: CycInt) -> bool:
 # canonical mod-2 index tokens and tables
 
 
+def _fold_token(name: str, period: int, j: int) -> str:
+    """'0' or f'{name}_k' for the class of index j of period `period` that
+    folds by j -> period - j: k = j mod period, folded into 0..period/2,
+    where 0 and period/2 are even."""
+    k = j % period
+    k = min(k, period - k)
+    return "0" if k in (0, period // 2) else f"{name}_{k}"
+
+
 def canonical_s_token(level: Level, j: int) -> str:
     """Mod-2 canonical name of s_j: '0' or 's_k' with 0 < k < 2^(n-2).
 
     The class of s_j has period 2^(n-1) and folds by s_{2^(n-1)-j} = s_j,
     so every index reduces into 0..2^(n-2); s_0 and s_{2^(n-2)} are even.
     """
-    half_period = 1 << (level.n - 1)
-    fold = 1 << (level.n - 2)
-    j1 = j % half_period
-    if j1 > fold:
-        j1 = half_period - j1
-    if j1 in (0, fold):
-        return "0"
-    return f"s_{j1}"
+    return _fold_token("s", 1 << (level.n - 1), j)
 
 
 def canonical_r_token(level: Level, j: int) -> str:
     """Mod-2 canonical name of r_j, folded into 0..2^(n-3)."""
-    period = 1 << (level.n - 2)
-    fold = 1 << (level.n - 3)
-    j1 = j % period
-    if j1 > fold:
-        j1 = period - j1
-    if j1 in (0, fold):
-        return "0"
-    return f"r_{j1}"
+    return _fold_token("r", 1 << (level.n - 2), j)
 
 
 def s_table_tokens(level: Level) -> list[str]:

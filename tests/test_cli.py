@@ -256,6 +256,36 @@ def test_unit_refuses_words_over_the_work_budget(monkeypatch, capsys):
     assert "may need 8208 bits, over the budget of 8192" in err
 
 
+# 4300 digits is the longest exponent int() parses by default; a word that
+# multiplies two of them has an exponent of 4301 digits
+EIGHTS, NINES = "8" * 4300, "9" * 4300
+
+
+@pytest.mark.parametrize(
+    "word",
+    [f"d1^{EIGHTS}", f"d1^{NINES} * d1^{NINES}", f"d1^{EIGHTS} * d1^{EIGHTS}"],
+    ids=["admitted", "product-refused-mod-2", "product-admitted"],
+)
+def test_unit_refuses_exponents_too_long_to_print(monkeypatch, capsys, word):
+    _no_exact_arithmetic(monkeypatch)
+    code, out, err = run(capsys, "unit", "--n", "4", "--word", word)
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [f"usage error: bad word {word!r}: its exponents are too large"]
+
+
+def test_unit_prints_exponents_up_to_the_bit_budget(monkeypatch, capsys):
+    # d1^e with e odd is refused mod 2 at n = 4; 4 * e fits MAX_WORD_BITS bits
+    # for e = 2^(MAX_WORD_BITS - 3) + 1 and does not for twice that
+    _no_exact_arithmetic(monkeypatch)
+    e = (1 << (cli.MAX_WORD_BITS - 3)) + 1
+    code, out, err = run(capsys, "unit", "--n", "4", "--word", f"d1^{e}")
+    assert (code, err) == (2, "")
+    assert json.loads(out)["word"] == f"d1^{e}"
+    code, out, err = run(capsys, "unit", "--n", "4", "--word", f"d1^{2 * e - 1}")
+    assert (code, out) == (1, "")
+    assert err.endswith(": its exponents are too large\n")
+
+
 def test_unit_parity_and_exact_disagreement_exits_3(monkeypatch, capsys):
     def refuse(beta):
         raise NotIntegral("trace coefficient at x^1 is odd; beta is not 1 mod 2")
@@ -295,6 +325,18 @@ def test_identities_json(tmp_path, capsys):
 
 def test_identities_json_unwritable(tmp_path, capsys):
     check_json_unwritable(capsys, tmp_path, "identities")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("command", ["verify", "tables"])
+def test_json_write_failure_is_a_usage_error(capsys, command):
+    # /dev/full opens, but writing to it fails with ENOSPC
+    code, _, err = run(capsys, command, "--n", "4", "--json", "/dev/full")
+    assert code == 1
+    assert err.count("usage error") == 1
+    assert err.splitlines()[-1] == (
+        "usage error: cannot write /dev/full: No space left on device"
+    )
 
 
 # ---------------------------------------------------------------------- #

@@ -41,7 +41,7 @@ def flat_norm(a: CycInt) -> int:
     prod = CycInt.one(a.level)
     for k in range(1, a.level.order, 2):
         prod = prod * a.galois(k)
-    assert prod.is_rational()
+    assert not any(prod.coeffs[1:])
     return prod.coeffs[0]
 
 
@@ -50,7 +50,7 @@ def flat_trace(a: CycInt) -> int:
     total = CycInt.zero(a.level)
     for k in range(1, a.level.order, 2):
         total = total + a.galois(k)
-    assert total.is_rational()
+    assert not any(total.coeffs[1:])
     return total.coeffs[0]
 
 
@@ -498,21 +498,38 @@ def test_invert_nonunit_rejected():
         (CycInt.one(lv) - CycInt.monomial(lv, 1)).invert_unit()
 
 
-def galois_descent(x: CycInt) -> tuple[CycInt, CycInt]:
-    """Oracle for _descend above n = 3: the conjugate c = x.galois(m + 1),
-    the full product x * c, its odd-exponent coefficients checked to be
-    zero and the rest compressed one level down."""
-    conj = x.galois(x.level.degree + 1)
+def galois_halving(c: list) -> tuple[list, list]:
+    """Oracle for one step of the halving: the conjugate under alpha ->
+    -alpha and the full product with it, its odd-exponent coefficients
+    checked to be zero and the rest compressed one level down.  From
+    length 4 on that is x.galois(len(c) + 1) and a CycInt product; at
+    length 2, Z[i], it is complex conjugation and a^2 + b^2."""
+    if len(c) == 2:
+        a, b = c
+        return [a, -b], [a * a + b * b]
+    x = CycInt(Level(len(c).bit_length()), tuple(c))
+    conj = x.galois(len(c) + 1)
     prod = x * conj
     assert not any(prod.coeffs[1::2])
-    return conj, CycInt(Level(x.level.n - 1), prod.coeffs[::2])
+    return list(conj.coeffs), list(prod.coeffs[::2])
 
 
-def descend_against_galois_route(x: CycInt) -> None:
-    while x.level.n > 3:
-        got = x._descend()
-        assert got == galois_descent(x)
-        x = got[1]
+def halving_against_galois_route(x: CycInt) -> int:
+    """Every step of the halving down to one coefficient against the
+    Galois route; returns that coefficient."""
+    c = list(x.coeffs)
+    while len(c) > 1:
+        got = cyclotomic._halve(c)
+        assert got == galois_halving(c)
+        c = got[1]
+    return c[0]
+
+
+def conjugate_route(x: CycInt) -> CycInt:
+    """x * sigma_3(x) * sigma_5(x) * sigma_7(x) / x at n = 3: the product of
+    the nontrivial conjugates, so that x times it is the norm."""
+    assert x.level.n == 3
+    return x.galois(3) * x.galois(5) * x.galois(7)
 
 
 def dense_unit(lv: Level, rng: random.Random, bits: int) -> CycInt:
@@ -526,15 +543,18 @@ def dense_unit(lv: Level, rng: random.Random, bits: int) -> CycInt:
 @pytest.mark.parametrize("n", range(3, 13))
 def test_norm_descent_on_dense_elements(n):
     """Dense elements with coefficients up to 400 bits: every step of the
-    descent against the Galois route, the norm against the flat product of
-    conjugates up to n = 6."""
+    halving against the Galois route, the norm against the flat product of
+    conjugates up to n = 6 (at n = 3, x * sigma_3(x) * sigma_5(x) *
+    sigma_7(x))."""
     lv = Level(n)
     rng = random.Random(100 + n)
     for bits in (1, 400):
         x = random_elem(lv, rng, bound=1 << bits)
-        descend_against_galois_route(x)
+        assert halving_against_galois_route(x) == x.norm()
         if n <= 6:
             assert x.norm() == flat_norm(x)
+        if n == 3:
+            assert (x * conjugate_route(x)).coeffs == (x.norm(), 0, 0, 0)
 
 
 @pytest.mark.parametrize("n", range(3, 13))
@@ -544,9 +564,10 @@ def test_invert_unit_on_dense_units(n):
     one = CycInt.one(lv)
     for bits in (40, 400):
         u = dense_unit(lv, rng, bits)
-        descend_against_galois_route(u)
-        assert u.norm() in (1, -1)
+        assert halving_against_galois_route(u) == u.norm() in (1, -1)
         assert u * u.invert_unit() == one
+        if n == 3:
+            assert u.invert_unit() == u.norm() * conjugate_route(u)
 
 
 @pytest.mark.parametrize("n", range(3, 13))

@@ -35,7 +35,7 @@ from circunits import (
     v1_generators,
     word_mod2,
 )
-from circunits import group_ring
+from circunits import cyclotomic, group_ring
 from test_cyclotomic import KERNEL_KINDS, kernel_counts, kernel_operands, ref_linear
 
 D1_POW4_COEFFS = (19, 16, 10, 4, 0, -4, -10, -16)
@@ -185,7 +185,9 @@ def test_gr_mul_split_against_double_loop(n):
 @pytest.mark.parametrize("which", [0, 1])
 def test_gr_mul_parity_guard(monkeypatch, which):
     """A half-product off by one in one coefficient makes p - q odd there;
-    gr_mul must raise rather than floor the halving."""
+    gr_mul must raise rather than floor the halving.  p comes from
+    group_ring's convolve and q from the negacyclic product in cyclotomic,
+    so both bindings are patched and calls are counted across them."""
     calls = []
 
     def perturbed(x, y):
@@ -195,8 +197,9 @@ def test_gr_mul_parity_guard(monkeypatch, which):
         calls.append(None)
         return full
 
-    real = group_ring.convolve
+    real = cyclotomic.convolve
     monkeypatch.setattr(group_ring, "convolve", perturbed)
+    monkeypatch.setattr(cyclotomic, "convolve", perturbed)
     lv = Level(5)
     rng = random.Random(which)
     a, b = (
@@ -205,6 +208,7 @@ def test_gr_mul_parity_guard(monkeypatch, which):
     )
     with pytest.raises(InternalInconsistency, match="odd"):
         gr_mul(a, b)
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("n", range(3, 12))
@@ -346,9 +350,9 @@ def test_u_chi1_exact_character_evaluation():
 
 def test_u_chi1_rejects_non_units():
     lv = Level(4)
-    with pytest.raises(NotAUnit):
+    with pytest.raises(NotAUnit, match=r"^norm is 256, not \+-1$"):
         u_chi1(CycInt.from_int(lv, 2))
-    with pytest.raises(NotAUnit):
+    with pytest.raises(NotAUnit, match=r"^norm is 6561, not \+-1$"):
         is_admissible(CycInt.from_int(lv, 3))
 
 
