@@ -151,9 +151,13 @@ def _inverse(c: Sequence[int]) -> list[int]:
 
 
 def _require_unit(norm: int) -> None:
-    """Refuse an element whose norm is not a unit of Z."""
+    """Refuse an element whose norm is not a unit of Z.  A norm over 8192
+    bits is named by its bit-length: Python prints no int of more than
+    4300 digits (about 14,000 bits) in decimal."""
     if norm not in (1, -1):
-        raise NotAUnit(f"norm is {norm}, not +-1")
+        bits = norm.bit_length()
+        shown = norm if bits <= 8192 else f"a {bits}-bit integer"
+        raise NotAUnit(f"norm is {shown}, not +-1")
 
 
 def _check_same_level(a: CycInt, b: CycInt) -> None:
@@ -249,9 +253,6 @@ class CycInt:
 
     def __rmul__(self, scalar: int) -> CycInt:
         return CycInt(self.level, tuple(scalar * x for x in self.coeffs))
-
-    def is_zero(self) -> bool:
-        return all(x == 0 for x in self.coeffs)
 
     # ------------------------------------------------------------------ #
     # Galois action, trace, norm

@@ -15,6 +15,7 @@ __all__ = [
     "cyc_mul_f2",
     "cyc_square_f2",
     "cyc_pow_f2",
+    "cyc_galois_f2",
 ]
 
 
@@ -89,3 +90,12 @@ def cyc_pow_f2(a: int, exponent: int, m: int) -> int:
         base = cyc_square_f2(base, m)
         e >>= 1
     return result
+
+
+def cyc_galois_f2(a: int, j: int, m: int) -> int:
+    """Image of a mod-2 class under alpha -> alpha^j, j odd (else pow
+    raises ValueError): alpha^(i*j) = +-alpha^(i*j mod m), so bit p of the
+    image is bit p/j mod m of a."""
+    inverse = pow(j, -1, m)
+    bits = format(a, f"0{m}b")  # bits[~i] is bit i
+    return int("".join([bits[~(p * inverse % m)] for p in range(m - 1, -1, -1)]), 2)

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
 
 from .cyclotomic import CycInt, Level
 from .errors import InternalInconsistency, NotReal
-from .gf2 import pack_bits
+from .gf2 import pack_bits, unpack_bits
 
 __all__ = [
     "RealElem",
@@ -167,22 +168,13 @@ class SpecialCoordsMod2:
         """True iff the class is the class of 1."""
         return self.mask == 1
 
-    def is_zero(self) -> bool:
-        return self.mask == 0
-
     def position_label(self, p: int) -> str:
         return _position_labels(self.level.n)[p]
 
     def terms(self) -> tuple[str, ...]:
-        """Labels of the set positions, lowest first; visits only set bits."""
+        """Labels of the set positions, lowest first."""
         labels = _position_labels(self.level.n)
-        terms = []
-        mask = self.mask
-        while mask:
-            low = mask & -mask
-            terms.append(labels[low.bit_length() - 1])
-            mask ^= low
-        return tuple(terms)
+        return tuple(compress(labels, unpack_bits(self.mask, len(labels))))
 
     def render(self) -> str:
         """Canonical text form, e.g. '1+r_2+r_3'; '0' for the zero class."""

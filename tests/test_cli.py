@@ -350,14 +350,24 @@ def test_no_subcommand_is_usage_error(capsys):
 
 
 def test_console_script_installed():
+    """python -m circunits always, and the console script where it is on
+    PATH."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    commands = [[sys.executable, "-m", "circunits"]]
     exe = shutil.which("circunits")
-    if exe is None:
-        pytest.skip("console script not on PATH")
-    result = subprocess.run(
-        [exe, "tables", "--n", "5"], capture_output=True, text=True
-    )
-    assert result.returncode == 0
-    assert "0 r_1 r_2 r_3 0 r_3 r_2 r_1" in result.stdout
+    if exe is not None:
+        commands.append([exe])
+    for command in commands:
+        result = subprocess.run(
+            [*command, "tables", "--n", "5"],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert result.returncode == 0, (command, result.stderr)
+        assert "0 r_1 r_2 r_3 0 r_3 r_2 r_1" in result.stdout
 
 
 _WITHOUT_MPMATH = """

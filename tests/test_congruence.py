@@ -5,6 +5,7 @@ import random
 import pytest
 
 from circunits import (
+    CycInt,
     DisagreementError,
     InternalInconsistency,
     Level,
@@ -16,7 +17,6 @@ from circunits import (
     eval_word,
     galois_transport_check,
     generator_system,
-    p_factor,
     p_factor_indices,
     q_power_identities,
     q_word,
@@ -155,6 +155,11 @@ def test_p_factor_indices():
         p_factor_indices(lv, 0)
 
 
+def p_factor(lv, k):
+    """The exact product of d_1^(2^j) over j = k-1 .. n-4 in Z[alpha]."""
+    return seq_d(lv, 1) ** sum(p_factor_indices(lv, k))
+
+
 @pytest.mark.parametrize("n", [4, 5, 6, 7])
 def test_p_factor_matches_d_product_mod2(n):
     lv = Level(n)
@@ -196,6 +201,123 @@ def test_galois_transport(n):
 def test_galois_transport_level_gate():
     with pytest.raises(LevelTooSmall):
         galois_transport_check(Level(4))
+
+
+def test_transport_can_fail(monkeypatch, capsys):
+    # with alpha -> alpha^j replaced by the identity map, q(k,1)^(2^(k-1))
+    # is "transported" onto itself, which only the j = 1 generators match
+    monkeypatch.setattr(congruence, "cyc_galois_f2", lambda a, j, m: a)
+    report = galois_transport_check(Level(6))
+    assert not report["all_passed"]
+    failed = [t["label"] for t in report["transports"] if not t["passed"]]
+    assert failed == ["q(2,3)^2", "q(1,3)", "q(1,5)", "q(1,7)"]
+    assert main(["identities", "--n", "6"]) == 2
+    assert "FAIL transport q(1,3)" in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------- #
+# the identity reports against the exact route
+#
+# The library computes every class of both reports in Z[alpha]/2.  These
+# are the reports as computed before, by exact powers, products and Galois
+# images in Z[alpha], each reduced mod 2 only at the end.
+
+
+def _exact_entry(name, lhs, rhs, **extra):
+    return {
+        "name": name,
+        "passed": lhs == rhs,
+        "lhs": lhs.render(),
+        "rhs": rhs.render(),
+        **extra,
+    }
+
+
+def exact_q_power_identities(lv):
+    n = lv.n
+    quarter = 1 << (n - 3)
+    checks = []
+    for k in range(1, n - 2):
+        half = 1 << (k - 1)
+        pk = p_factor(lv, k)
+        lhs = special_mod2(seq_d(lv, 1) ** -half)
+        rhs = special_mod2(seq_d(lv, quarter) * pk)
+        checks.append(_exact_entry("head_inverse_power", lhs, rhs, k=k))
+        mirror = (1 << (n - 1 - k)) - 1
+        lhs = special_mod2(seq_d(lv, mirror) ** half)
+        rhs = special_mod2(seq_d(lv, half) + seq_r(lv, half))
+        checks.append(_exact_entry("mirror_half_power", lhs, rhs, k=k))
+        q_half = special_mod2(eval_word(q_word(lv, k, 1) ** half))
+        rhs = special_mod2(
+            CycInt.one(lv) + seq_d(lv, half).invert_unit() * seq_r(lv, half)
+        )
+        checks.append(_exact_entry("q_half_power_inverse_form", q_half, rhs, k=k))
+        rhs = special_mod2(CycInt.one(lv) + pk * seq_r(lv, half))
+        p_product = "*".join(f"d_{i}" for i in p_factor_indices(lv, k))
+        checks.append(
+            _exact_entry("q_half_power_p_form", q_half, rhs, k=k, p_product=p_product)
+        )
+        prod = CycInt.one(lv)
+        for i in p_factor_indices(lv, k):
+            prod = prod * seq_d(lv, i)
+        lhs, rhs = special_mod2(pk), special_mod2(prod)
+        checks.append(_exact_entry("p_factor_d_product", lhs, rhs, k=k))
+    fixes = all(
+        special_mod2(seq_d(lv, quarter) * seq_r(lv, l)) == special_mod2(seq_r(lv, l))
+        for l in range(1, quarter)
+    )
+    checks.append(
+        {
+            "name": "sqrt2_head_fixes_r_block",
+            "passed": fixes,
+            "lhs": "d_{2^(n-3)} * r_l for all l",
+            "rhs": "r_l",
+        }
+    )
+    return {
+        "n": n,
+        "certified_range": 4 <= n <= 7,
+        "checks": checks,
+        "all_passed": all(c["passed"] for c in checks),
+    }
+
+
+def exact_galois_transport_check(lv):
+    n = lv.n
+    gens = generator_system(lv).sqrt_gens
+    classes = [special_mod2(eval_word(lw.word)) for lw in gens]
+    transports = []
+    for k in range(n - 3, 0, -1):
+        base = eval_word(q_word(lv, k, 1) ** (1 << (k - 1)))
+        for lw, lhs in zip(gens, classes):
+            if lw.k == k:
+                rhs = special_mod2(base.galois(lw.j))
+                transports.append(
+                    {
+                        "label": lw.label,
+                        "passed": lhs == rhs,
+                        "value": lhs.render(),
+                        "transported": rhs.render(),
+                    }
+                )
+    return {
+        "n": n,
+        "certified_range": 5 <= n <= 7,
+        "transports": transports,
+        "coset_table": [
+            {"label": lw.label, "value": value.render()}
+            for lw, value in zip(gens, classes)
+        ],
+        "all_passed": all(t["passed"] for t in transports),
+    }
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8, 9])
+def test_identity_reports_match_the_exact_route(n):
+    lv = Level(n)
+    assert q_power_identities(lv) == exact_q_power_identities(lv)
+    if n >= 5:
+        assert galois_transport_check(lv) == exact_galois_transport_check(lv)
 
 
 # ---------------------------------------------------------------------- #

@@ -580,6 +580,17 @@ def test_non_units_keep_their_messages(n):
         (CycInt.one(lv) - CycInt.monomial(lv, 1)).invert_unit()
 
 
+@pytest.mark.parametrize("n", [11, 12])
+def test_non_unit_with_a_long_norm_names_its_bit_length(n):
+    # the norm of 2^10 is 2^(10m), over 8192 bits at m = 1024 and 2048; at
+    # m = 2048 it also has more than the 4300 decimal digits that Python
+    # prints, where the message used to raise ValueError
+    lv = Level(n)
+    bits = 10 * lv.degree + 1
+    with pytest.raises(NotAUnit, match=rf"^norm is a {bits}-bit integer, not \+-1$"):
+        CycInt.from_int(lv, 2**10).invert_unit()
+
+
 def test_negative_pow_through_inversion():
     lv = Level(5)
     d = seq_d(lv, 3)
@@ -621,8 +632,8 @@ def test_mod2_and_congruence():
     assert a.mod2_coords() == (1, 0, 0, 0, 0, 0, 0, 1)
     assert not a.is_congruent_one_mod2()
     assert CycInt.from_int(lv, 3).is_congruent_one_mod2()
-    assert not CycInt.one(lv).is_zero()
-    assert CycInt.zero(lv).is_zero()
+    assert CycInt.one(lv) != CycInt.zero(lv)
+    assert CycInt.one(lv) - CycInt.one(lv) == CycInt.zero(lv)
 
 
 def test_is_real():

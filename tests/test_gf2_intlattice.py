@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from circunits import CycInt, Level
 from circunits.gf2 import (
+    cyc_galois_f2,
     cyc_mul_f2,
     cyc_pow_f2,
     cyc_square_f2,
@@ -189,3 +190,23 @@ def test_parity_ring_against_exact_products(n, data):
     assert cyc_mul_f2(a_mask, b_mask, m) == pack_bits((a * b).coeffs)
     assert cyc_square_f2(a_mask, m) == pack_bits((a * a).coeffs)
     assert cyc_pow_f2(a_mask, e, m) == pack_bits((a**e).coeffs)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 8, 10])
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(data=st.data())
+def test_cyc_galois_f2_against_exact_galois(n, data):
+    """The bit permutation against the parities of the exact image under
+    alpha -> alpha^j, for odd j of either sign and beyond the order."""
+    lv = Level(n)
+    m = lv.degree
+    coeffs = st.lists(st.integers(-9, 9), min_size=m, max_size=m).map(tuple)
+    a = CycInt(lv, data.draw(coeffs))
+    j = data.draw(st.integers(-2 * lv.order, 2 * lv.order)) * 2 + 1
+    assert cyc_galois_f2(pack_bits(a.coeffs), j, m) == pack_bits(a.galois(j).coeffs)
+
+
+def test_cyc_galois_f2_rejects_even_indices():
+    for j in (0, 2, -4):
+        with pytest.raises(ValueError):
+            cyc_galois_f2(0b1011, j, 8)

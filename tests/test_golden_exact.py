@@ -1,10 +1,13 @@
 """Frozen exact outputs: SHA-256 digests of exact-ring results.
 
 These cover the exact kernels (Z[alpha] products and squares, the norm
-descent, unit inversion and group-ring products) through `unit`,
-`identities` and `tables` stdout, the v1 generator images at n = 7 and one
-n = 10 group-ring product of two u_chi1 images.  A change to how those
-kernels compute must leave these bytes alone.
+descent, unit inversion and group-ring products) through `unit` and
+`tables` stdout, the v1 generator images at n = 7 and one n = 10
+group-ring product of two u_chi1 images.  A change to how those kernels
+compute must leave these bytes alone.  The `identities` digests at n = 9
+and 12 were recorded while those reports still took exact powers,
+products and Galois images in Z[alpha]; the parity-ring reports must
+print the same bytes.
 """
 
 import hashlib
@@ -30,6 +33,11 @@ CLI_DIGESTS = [
         ("identities", "--n", "9"),
         0,
         "5b1d615766402b590a7599702f06e1db510149dffb9c03efe02adff48d12bb44",
+    ),
+    (
+        ("identities", "--n", "12"),
+        0,
+        "9f126d46ed451e5209c6f5939d4805d3a692ce1a82d49a556cbe65c93c2039eb",
     ),
     (
         ("tables", "--n", "5"),
