@@ -14,25 +14,14 @@ from functools import lru_cache
 from typing import Mapping
 
 from .cyclotomic import CycInt, Level
-from .errors import (
-    IndexOutOfRange,
-    InternalInconsistency,
-    LevelMismatch,
-    NotAUnit,
-    NotIntegral,
-)
+from .errors import IndexOutOfRange, LevelMismatch
 from .real_basis import seq_d
 
 __all__ = [
     "UnitWord",
-    "PWord",
     "d_index_set",
-    "fold_d_index",
     "beta",
     "eval_word",
-    "p_word_is_unit",
-    "eval_p_word",
-    "p_word_to_unit_word",
     "parse_word",
 ]
 
@@ -40,14 +29,6 @@ __all__ = [
 def d_index_set(level: Level) -> tuple[int, ...]:
     """The 2^(n-2)-1 generator indices 1, 3, ..., 2^(n-1)-3."""
     return tuple(range(1, level.degree - 2, 2))
-
-
-def fold_d_index(level: Level, j: int) -> int:
-    """Reduce any odd j into 1..2^(n-1)-1 using d_{2^n - j} = d_j exactly."""
-    t = j % level.order
-    if t % 2 == 0:
-        raise IndexOutOfRange(f"d-index must be odd, got {j}")
-    return t if t < level.degree else level.order - t
 
 
 @dataclass(frozen=True, slots=True)
@@ -108,26 +89,12 @@ class UnitWord:
             exps[j] = exps.get(j, 0) + e
         return UnitWord.make(self.level, self.alpha_exp + other.alpha_exp, exps)
 
-    def inverse(self) -> UnitWord:
-        return UnitWord.make(
-            self.level,
-            -self.alpha_exp,
-            {j: -e for j, e in self.d_exps},
-        )
-
     def __pow__(self, exponent: int) -> UnitWord:
         return UnitWord.make(
             self.level,
             self.alpha_exp * exponent,
             {j: e * exponent for j, e in self.d_exps},
         )
-
-    def exponent_vector(self) -> tuple[int, ...]:
-        """Exponents over the full generator set, for lattice arithmetic."""
-        vec = [0] * (len(d_index_set(self.level)))
-        for j, e in self.d_exps:
-            vec[(j - 1) // 2] = e
-        return tuple(vec)
 
     def render(self) -> str:
         parts = []
@@ -142,14 +109,6 @@ class UnitWord:
             "alpha": self.alpha_exp,
             "d": {str(j): e for j, e in self.d_exps},
         }
-
-    @classmethod
-    def from_json_dict(cls, level: Level, data: dict) -> UnitWord:
-        return cls.make(
-            level,
-            int(data.get("alpha", 0)),
-            {int(j): int(e) for j, e in data.get("d", {}).items()},
-        )
 
 
 _WORD_TOKEN = re.compile(r"^(?:(a)|d(\d+))(?:\^(-?\d+))?$")
@@ -193,7 +152,7 @@ def eval_word(w: UnitWord) -> CycInt:
 
 
 # ---------------------------------------------------------------------- #
-# products of the 1 - alpha^{3^l}
+# the units 1 + alpha^{3^l} + alpha^{2*3^l}
 
 
 def beta(level: Level, l: int) -> CycInt:
@@ -204,93 +163,3 @@ def beta(level: Level, l: int) -> CycInt:
         )
     t = pow(3, l, level.order)
     return CycInt.from_terms(level, [(0, 1), (t, 1), (2 * t, 1)])
-
-
-@dataclass(frozen=True, slots=True)
-class PWord:
-    """Formal product alpha^a * prod (1 - alpha^{3^l})^{k_l}."""
-
-    level: Level
-    alpha_exp: int
-    cyc_exps: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        expected = 1 << (self.level.n - 2)
-        if len(self.cyc_exps) != expected:
-            raise ValueError(
-                f"need {expected} exponents at n={self.level.n}, "
-                f"got {len(self.cyc_exps)}"
-            )
-
-
-def p_word_is_unit(p: PWord) -> bool:
-    """A p-word is a unit exactly when its exponents sum to zero."""
-    return sum(p.cyc_exps) == 0
-
-
-def _suffix_sums(exps: tuple[int, ...]) -> list[int]:
-    out = [0] * len(exps)
-    running = 0
-    for i in range(len(exps) - 1, -1, -1):
-        out[i] = running
-        running += exps[i]
-    return out
-
-
-def eval_p_word(p: PWord) -> CycInt:
-    """Exact value of a p-word with nonnegative total (1-alpha) valuation.
-
-    Every 1 - alpha^{3^l} factors as (1 - alpha) times a unit, so the word
-    is integral iff the exponent sum s is >= 0; then it equals
-    alpha^a (1-alpha)^s prod_i beta_i^{g_i} with g_i the suffix sums.
-    """
-    s = sum(p.cyc_exps)
-    if s < 0:
-        raise NotIntegral(
-            f"exponent sum {s} < 0: the value is not an algebraic integer"
-        )
-    acc = CycInt.monomial(p.level, p.alpha_exp)
-    if s:
-        one_minus_alpha = CycInt.one(p.level) - CycInt.monomial(p.level, 1)
-        acc = acc * one_minus_alpha**s
-    for i, g in enumerate(_suffix_sums(p.cyc_exps)):
-        if g:
-            acc = acc * beta(p.level, i) ** g
-    return acc
-
-
-def p_word_to_unit_word(p: PWord) -> UnitWord:
-    """Rewrite a unit p-word over alpha and the d-generators.
-
-    Uses beta_l = alpha^{3^l} d_{3^l} and eliminates the out-of-set index
-    2^(n-1)-1 through the relation prod_l beta_l = 1.
-    """
-    if not p_word_is_unit(p):
-        raise NotAUnit("p-word with nonzero exponent sum is not a unit")
-    level = p.level
-    order = level.order
-    count = 1 << (level.n - 2)
-    suffix = _suffix_sums(p.cyc_exps)
-    alpha_total = p.alpha_exp
-    exps: dict[int, int] = {}
-    folded = []
-    for i in range(count):
-        t = pow(3, i, order)
-        j = fold_d_index(level, t)
-        folded.append(j)
-        g = suffix[i]
-        alpha_total += g * t
-        if g:
-            exps[j] = exps.get(j, 0) + g
-    if len(set(folded)) != count:
-        raise InternalInconsistency("folded 3-power indices are not distinct")
-    outsider = level.degree - 1
-    e_out = exps.pop(outsider, 0)
-    if e_out:
-        total_three = sum(pow(3, i, order) for i in range(count))
-        alpha_total -= total_three * e_out
-        for j in folded:
-            if j != outsider:
-                exps[j] = exps.get(j, 0) - e_out
-    return UnitWord.make(level, alpha_total, exps)
-

@@ -28,11 +28,15 @@ from .errors import (
 )
 from .funnel import generator_system, q_word
 from .gf2 import cyc_galois_f2, cyc_mul_f2, cyc_pow_f2, gf2_rank, unpack_bits
-from .real_basis import SpecialCoordsMod2, special_mod2, special_mod2_from_parities
+from .real_basis import (
+    SpecialCoordsMod2,
+    _position_labels,
+    special_mod2,
+    special_mod2_from_parities,
+)
 from .version import TOOL_VERSION
 
 __all__ = [
-    "Mod2WordValue",
     "F2System",
     "Certificate",
     "word_mod2",
@@ -49,14 +53,6 @@ __all__ = [
 # n = 7 every class is also recomputed by exact evaluation.
 WALK_GENERATORS = 16
 EXACT_CHECK_MAX_N = 7
-
-
-@dataclass(frozen=True, slots=True)
-class Mod2WordValue:
-    """A word together with its mod-2 class in B-coordinates."""
-
-    word: UnitWord
-    coords: SpecialCoordsMod2
 
 
 def _s_mask(level: Level, j: int) -> int:
@@ -273,21 +269,22 @@ class F2System:
     """Linearized membership system: rows are non-constant B-coordinates,
     columns the coset-generator exponents."""
 
-    level: Level
-    variables: tuple[str, ...]
     row_labels: tuple[str, ...]
     rows: tuple[int, ...]
     rank: int
     nullity: int
-    trivial_only: bool
 
 
 @dataclass(frozen=True, slots=True)
 class Certificate:
-    """Replayable record of one main-theorem verification run."""
+    """Replayable record of one main-theorem verification run.
+
+    The JSON form states each fact once: a class by its coords_hex, and the
+    odd-r block by its rows_hex.  rows_bits is kept in memory only.
+    """
 
     level: Level
-    generators: tuple[Mod2WordValue, ...]
+    generators: tuple[SpecialCoordsMod2, ...]
     generator_labels: tuple[str, ...]
     system: F2System
     method: str
@@ -305,12 +302,8 @@ class Certificate:
             "tool_version": TOOL_VERSION,
             "method": self.method,
             "generators": [
-                {
-                    "label": label,
-                    "coords": value.coords.render(),
-                    "coords_hex": value.coords.coords_hex(),
-                }
-                for label, value in zip(self.generator_labels, self.generators)
+                {"label": label, "coords_hex": coords.coords_hex()}
+                for label, coords in zip(self.generator_labels, self.generators)
             ],
             "row_labels": list(self.system.row_labels),
             "matrix_rows_hex": [
@@ -323,7 +316,9 @@ class Certificate:
             "exhaustive_kernel_size": self.exhaustive_kernel_size,
         }
         if self.odd_r_subsystem is not None:
-            data["odd_r_subsystem"] = self.odd_r_subsystem
+            data["odd_r_subsystem"] = {
+                k: v for k, v in self.odd_r_subsystem.items() if k != "rows_bits"
+            }
         data["elapsed_ms"] = round(self.elapsed_ms, 3) if include_timing else 0
         return data
 
@@ -412,7 +407,7 @@ def verify_main_theorem(level: Level) -> Certificate:
     g = len(gens)
     _square_zero_check(level)
 
-    values = []
+    classes = []
     masks = []
     for lw in gens:
         mask = _word_parities(lw.word)
@@ -422,22 +417,18 @@ def verify_main_theorem(level: Level) -> Certificate:
                 f"{lw.label}: parity-ring class disagrees with exact evaluation"
             )
         _coords_structural_check(coords)
-        values.append(Mod2WordValue(lw.word, coords))
+        classes.append(coords)
         masks.append(mask)
 
+    labels = _position_labels(n)
     positions = range(1, 1 << (n - 2))
-    rows = _transpose([v.coords.mask for v in values], positions)
-    row_labels = [values[0].coords.position_label(p) for p in positions]
+    rows = _transpose([c.mask for c in classes], positions)
     rank = gf2_rank(rows)
-    nullity = g - rank
     f2 = F2System(
-        level=level,
-        variables=tuple(lw.label for lw in gens),
-        row_labels=tuple(row_labels),
+        row_labels=tuple(labels[p] for p in positions),
         rows=tuple(rows),
         rank=rank,
-        nullity=nullity,
-        trivial_only=(nullity == 0),
+        nullity=g - rank,
     )
 
     walked = min(g, WALK_GENERATORS)
@@ -456,18 +447,15 @@ def verify_main_theorem(level: Level) -> Certificate:
         quarter = 1 << (n - 3)
         block = [i for i, lw in enumerate(gens) if lw.k == 1]
         odd_r_positions = range(quarter + 1, 2 * quarter, 2)
-        sub_rows = _transpose([values[i].coords.mask for i in block], odd_r_positions)
-        sub_row_labels = [f"r_{p - quarter}" for p in odd_r_positions]
+        sub_rows = _transpose([classes[i].mask for i in block], odd_r_positions)
         sub_rank = gf2_rank(sub_rows)
         sub_width = max(1, (len(block) + 3) // 4)
         odd_r = {
             "column_variables": [gens[i].label for i in block],
             "column_indices": block,
-            "row_labels": sub_row_labels,
+            "row_labels": [labels[p] for p in odd_r_positions],
             "rows_hex": [format(r, f"0{sub_width}x") for r in sub_rows],
-            "rows_bits": [
-                unpack_bits(r, len(block)) for r in sub_rows
-            ],
+            "rows_bits": [unpack_bits(r, len(block)) for r in sub_rows],
             "rank": sub_rank,
             "full_rank": sub_rank == len(block) == len(sub_rows),
         }
@@ -475,13 +463,13 @@ def verify_main_theorem(level: Level) -> Certificate:
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     return Certificate(
         level=level,
-        generators=tuple(values),
+        generators=tuple(classes),
         generator_labels=tuple(lw.label for lw in gens),
         system=f2,
         method=method,
         exhaustive_assignments=exhaustive_assignments,
         exhaustive_kernel_size=kernel_size,
         odd_r_subsystem=odd_r,
-        trivial_only=f2.trivial_only,
+        trivial_only=f2.nullity == 0,
         elapsed_ms=elapsed_ms,
     )

@@ -309,14 +309,3 @@ class CycInt:
         if c[m // 2] != 0:
             return False
         return all(c[m - j] == -c[j] for j in range(1, m // 2))
-
-    # ------------------------------------------------------------------ #
-    # serialization
-
-    def to_json_dict(self) -> dict:
-        return {"n": self.level.n, "coeffs": [str(c) for c in self.coeffs]}
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> CycInt:
-        level = Level(int(data["n"]))
-        return cls(level, tuple(int(c) for c in data["coeffs"]))

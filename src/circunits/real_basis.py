@@ -18,14 +18,10 @@ from .errors import InternalInconsistency, NotReal
 from .gf2 import pack_bits, unpack_bits
 
 __all__ = [
-    "RealElem",
     "SpecialCoordsMod2",
     "seq_s",
     "seq_d",
     "seq_r",
-    "to_s_basis",
-    "to_special_basis",
-    "from_special_basis",
     "special_mod2",
     "special_mod2_from_parities",
     "rtilde_member",
@@ -57,84 +53,12 @@ def seq_r(level: Level, j: int) -> CycInt:
 
 
 # ---------------------------------------------------------------------- #
-# s-basis
-
-
-@dataclass(frozen=True, slots=True)
-class RealElem:
-    """Element of the real subring in s-coordinates.
-
-    s_coords[0] is the coefficient of 1; s_coords[j] the coefficient of s_j
-    for 1 <= j < 2^(n-2).
-    """
-
-    level: Level
-    s_coords: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        expected = 1 << (self.level.n - 2)
-        if len(self.s_coords) != expected:
-            raise ValueError(
-                f"need {expected} s-coordinates at n={self.level.n}, "
-                f"got {len(self.s_coords)}"
-            )
-
-    def to_cyc(self) -> CycInt:
-        c = self.s_coords
-        return CycInt.from_terms(
-            self.level,
-            [(0, c[0])] + [(e, c[j]) for j in range(1, len(c)) for e in (j, -j)],
-        )
-
-
-def to_s_basis(a: CycInt) -> RealElem:
-    """Exact s-coordinates of a real element.
-
-    A real element embeds with coeffs[j] at alpha^j and -coeffs[j] at
-    alpha^(m-j), so the coordinates can be read off the lower half directly
-    once the symmetry is confirmed.
-    """
-    if not a.is_real():
-        raise NotReal("element is not fixed by conjugation")
-    return RealElem(a.level, a.coeffs[: a.level.degree // 2])
-
-
-# ---------------------------------------------------------------------- #
 # special basis B
 
 # Layout of a B-coordinate vector of length 2^(n-2):
 #   position 0                      <-> 1
 #   positions 1 .. 2^(n-3)          <-> s_1 .. s_{2^(n-3)}
 #   positions 2^(n-3)+t, 0 < t < 2^(n-3)  <-> r_t
-
-
-def to_special_basis(a: RealElem) -> tuple[int, ...]:
-    """Rewrite s-coordinates over B via s_{2^(n-2)-t} = r_t - s_t.
-
-    The substitution is triangular, so no matrix inversion is needed.
-    """
-    quarter = 1 << (a.level.n - 3)
-    b = a.s_coords
-    out = list(b[: quarter + 1])
-    out.extend([0] * (quarter - 1))
-    for t in range(1, quarter):
-        e = b[2 * quarter - t]
-        out[quarter + t] = e
-        out[t] -= e
-    return tuple(out)
-
-
-def from_special_basis(level: Level, coords: tuple[int, ...]) -> RealElem:
-    """Inverse of to_special_basis."""
-    quarter = 1 << (level.n - 3)
-    if len(coords) != 2 * quarter:
-        raise ValueError(f"need {2 * quarter} B-coordinates, got {len(coords)}")
-    out = list(coords[: quarter + 1]) + [0] * (quarter - 1)
-    for t in range(1, quarter):
-        e = coords[quarter + t]
-        out[t] += e
-        out[2 * quarter - t] += e
-    return RealElem(level, tuple(out))
 
 
 @lru_cache(maxsize=None)
@@ -168,9 +92,6 @@ class SpecialCoordsMod2:
         """True iff the class is the class of 1."""
         return self.mask == 1
 
-    def position_label(self, p: int) -> str:
-        return _position_labels(self.level.n)[p]
-
     def terms(self) -> tuple[str, ...]:
         """Labels of the set positions, lowest first."""
         labels = _position_labels(self.level.n)
@@ -184,11 +105,6 @@ class SpecialCoordsMod2:
     def coords_hex(self) -> str:
         width = ((1 << (self.level.n - 2)) + 3) // 4
         return format(self.mask, f"0{width}x")
-
-    def __add__(self, other: SpecialCoordsMod2) -> SpecialCoordsMod2:
-        if self.level != other.level:
-            raise ValueError("levels differ")
-        return SpecialCoordsMod2(self.level, self.mask ^ other.mask)
 
 
 def special_mod2(a: CycInt) -> SpecialCoordsMod2:
@@ -204,9 +120,10 @@ def special_mod2_from_parities(level: Level, parities: int) -> SpecialCoordsMod2
 
     Products computed in the parity ring land here without lifting back to
     exact integers.  The parity mask must be conjugation-symmetric: bit m/2
-    clear, and bits 1..m-1 read the same reversed.  The substitution
-    s_{2^(n-2)-t} = r_t - s_t of to_special_basis reads, mod 2, as moving
-    bit 2^(n-2)-t to r_t and adding it to s_t.
+    clear, and bits 1..m-1 read the same reversed.  A real element is then
+    c_0 + sum c_j s_j over 0 < j < 2^(n-2) with c_j the coefficient of
+    alpha^j, and B rewrites the upper half by s_{2^(n-2)-t} = r_t - s_t,
+    which mod 2 moves bit 2^(n-2)-t to r_t and adds it to s_t.
     """
     m = level.degree
     half = m // 2

@@ -1,3 +1,3 @@
 """Single source of the tool version string recorded in certificates."""
 
-TOOL_VERSION = "0.1.0"
+TOOL_VERSION = "0.2.0"

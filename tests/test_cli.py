@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -10,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import circunits
 from circunits import cli
 from circunits.cli import main
 from circunits.errors import NotIntegral
@@ -347,6 +349,20 @@ def test_no_subcommand_is_usage_error(capsys):
     code, _, err = run(capsys)
     assert code == 1
     assert "usage error" in err
+
+
+def test_versions_agree(capsys):
+    """--version, __version__, a certificate's tool_version and the
+    distribution's version in pyproject.toml are one string."""
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    declared = re.search(r'^version = "([^"]+)"$', pyproject, re.MULTILINE).group(1)
+    with pytest.raises(SystemExit) as exited:
+        main(["--version"])
+    assert exited.value.code == 0
+    assert capsys.readouterr().out == f"circunits {declared}\n"
+    assert circunits.__version__ == declared
+    code, out, _ = run(capsys, "verify", "--n", "4")
+    assert code == 0 and json.loads(out)["tool_version"] == declared
 
 
 def test_console_script_installed():

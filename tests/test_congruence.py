@@ -355,9 +355,16 @@ def test_verify_certificate_json_shape():
     assert data["elapsed_ms"] == 0
     assert len(data["generators"]) == 4
     for g in data["generators"]:
-        assert set(g) == {"label", "coords", "coords_hex"}
+        assert set(g) == {"label", "coords_hex"}
         assert int(g["coords_hex"], 16) % 2 == 1
     assert len(data["matrix_rows_hex"]) == len(data["row_labels"]) == 7
+    # the odd-r block is written once, as rows_hex; rows_bits stays in memory
+    sub = cert.odd_r_subsystem
+    assert "rows_bits" not in data["odd_r_subsystem"]
+    assert data["odd_r_subsystem"] == {k: v for k, v in sub.items() if k != "rows_bits"}
+    assert [int(h, 16) for h in sub["rows_hex"]] == [
+        pack_bits(bits) for bits in sub["rows_bits"]
+    ]
     timed = cert.to_json_dict(include_timing=True)
     assert timed["elapsed_ms"] >= 0
 
@@ -426,10 +433,10 @@ def test_cli_failed_run_leaves_empty_json(monkeypatch, tmp_path, capsys):
 
 def test_verify_rows_encode_generator_coords():
     cert = verify_main_theorem(Level(5))
-    for i, value in enumerate(cert.generators):
+    for i, coords in enumerate(cert.generators):
         for p in range(1, 8):
             bit = (cert.system.rows[p - 1] >> i) & 1
-            assert bit == (value.coords.mask >> p) & 1
+            assert bit == (coords.mask >> p) & 1
 
 
 # ---------------------------------------------------------------------- #

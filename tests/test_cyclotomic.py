@@ -623,7 +623,7 @@ def test_negative_pow_inverts_once(n):
 
 
 # ---------------------------------------------------------------------- #
-# predicates and serialization
+# predicates
 
 
 def test_mod2_and_congruence():
@@ -643,14 +643,3 @@ def test_is_real():
     assert CycInt.from_int(lv, 7).is_real()
     assert not CycInt.monomial(lv, 1).is_real()
     assert not (seq_s(lv, 1) + CycInt.monomial(lv, 4)).is_real()
-
-
-@pytest.mark.parametrize("seed", range(5))
-def test_json_round_trip(seed):
-    rng = random.Random(seed)
-    lv = Level(5)
-    a = random_elem(lv, rng, bound=10**20)
-    data = a.to_json_dict()
-    assert data["n"] == 5
-    assert all(isinstance(c, str) for c in data["coeffs"])
-    assert CycInt.from_json_dict(data) == a

@@ -30,9 +30,15 @@ def expected_index(n: int) -> int:
     return index
 
 
+def exponent_vector(w: UnitWord) -> list:
+    """Exponents of a word over the full generator set d_1, d_3, ..."""
+    exps = w.d_exp_map
+    return [exps.get(j, 0) for j in d_index_set(w.level)]
+
+
 def f_matrix(n: int) -> list:
     lv = Level(n)
-    return [list(lw.word.exponent_vector()) for lw in generator_system(lv).f_gens]
+    return [exponent_vector(lw.word) for lw in generator_system(lv).f_gens]
 
 
 def invariant_factors(rows: list) -> list:
@@ -211,7 +217,7 @@ def test_lattice_chain_is_strict(n):
         assert full_rank_contains(rows, vec)
     # each coset generator is outside F but its square is inside
     for lw in system.sqrt_gens:
-        vec = list(lw.word.exponent_vector())
+        vec = exponent_vector(lw.word)
         assert not full_rank_contains(rows, vec)
         assert full_rank_contains(rows, [2 * x for x in vec])
 
@@ -220,7 +226,7 @@ def test_lattice_chain_is_strict(n):
 def test_sqrt_lattice_index_halves_per_generator(n):
     rows = f_matrix(n)
     sqrt_rows = [
-        list(lw.word.exponent_vector())
+        exponent_vector(lw.word)
         for lw in generator_system(Level(n)).sqrt_gens
     ]
     f_index = index_in_ambient(rows, len(rows))

@@ -1,5 +1,6 @@
 """The README's examples run as written."""
 
+import json
 import re
 import shlex
 from pathlib import Path
@@ -42,3 +43,9 @@ def test_library_example(capsys):
     exec(fenced_block("Library example", "python"), {})
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "1+r_1+r_2"
+
+
+def test_certificate_example(capsys):
+    assert main(["verify", "--n", "5"]) == 0
+    printed = json.loads(capsys.readouterr().out)
+    assert json.loads(fenced_block("Certificates", "json")) == printed
