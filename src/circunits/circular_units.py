@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import mul
 from typing import Mapping
 
 from .cyclotomic import CycInt, Level
@@ -140,15 +141,21 @@ def parse_word(level: Level, text: str) -> UnitWord:
 
 @lru_cache(maxsize=None)
 def _d_power(n: int, j: int, e: int) -> CycInt:
+    """d_j^e; eval_word asks for e > 0 only, so d_j^-e shares d_j^e's entry."""
     return seq_d(Level(n), j) ** e
 
 
 def eval_word(w: UnitWord) -> CycInt:
-    """Exact ring element of a word; negative exponents go through inversion."""
-    acc = CycInt.monomial(w.level, w.alpha_exp)
-    for j, e in w.d_exps:
-        acc = acc * _d_power(w.level.n, j, e)
-    return acc
+    """Exact ring element of a word: the product of its positive d-powers
+    over the product of its negative ones, so a word inverts at most once."""
+    n = w.level.n
+    factors = [_d_power(n, j, e) for j, e in w.d_exps if e > 0]
+    below = [_d_power(n, j, -e) for j, e in w.d_exps if e < 0]
+    if below:
+        factors.append(reduce(mul, below).invert_unit())
+    if w.alpha_exp:
+        factors.append(CycInt.monomial(w.level, w.alpha_exp))
+    return reduce(mul, factors) if factors else CycInt.one(w.level)
 
 
 # ---------------------------------------------------------------------- #

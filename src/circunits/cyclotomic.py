@@ -51,41 +51,45 @@ class Level:
         return 1 << (self.n - 1)
 
 
-def convolve(x: Sequence[int], y: Sequence[int]) -> list[int]:
-    """Linear product of two coefficient vectors of equal length m, padded
-    to length 2m.
+def _wrapped(x: Sequence[int], y: Sequence[int], sign: int) -> list[int]:
+    """x * y mod t^m - sign for coefficient vectors of equal length m:
+    Z[alpha] wraps by t^m = -1 (sign -1), the group ring by t^m = 1.
 
-    Z[alpha] folds the result by x^m = -1, the group ring by x^m = 1.  With
-    nx and ny nonzero entries, dense operands (nx * ny >= 32 * m) go through
-    one big-integer multiply (_kronecker); otherwise a double loop pairs
-    the nonzero terms of y with the nonzeros of x, so a sparse operand is
-    cheap in either position.
+    With nx and ny nonzero entries, dense operands (nx * ny >= 8 * m) go
+    through one big-integer multiply (_kronecker); otherwise a double loop
+    pairs the nonzero terms of y with the nonzeros of x, so a sparse
+    operand, such as d_j with its three terms, is cheap in either position.
     """
     m = len(x)
     nx = m - x.count(0)
     ny = m - y.count(0)
-    if nx * ny >= 32 * m:
-        return _kronecker(x, y, min(nx, ny))
+    if nx * ny >= 8 * m:
+        return _kronecker(x, y, min(nx, ny), sign)
     terms = [(j, c) for j, c in enumerate(y) if c]
     full = [0] * (2 * m)
     for i, a in enumerate(x):
         if a:
             for j, c in terms:
                 full[i + j] += a * c
-    return full
+    return [a + sign * b for a, b in zip(full[:m], full[m:])]
 
 
-def _kronecker(x: Sequence[int], y: Sequence[int], overlap: int) -> list[int]:
-    """convolve by Kronecker substitution, where no output coefficient sums
-    more than overlap products.
+def _kronecker(
+    x: Sequence[int], y: Sequence[int], overlap: int, sign: int
+) -> list[int]:
+    """_wrapped by Kronecker substitution, where no wrapped coefficient
+    sums more than overlap products.
 
     Each vector is packed into one integer with a slot of B bytes per
-    coefficient, the two integers are multiplied once, and the 2m slots
-    are read back; a square (y is x) packs once and squares that integer.
-    Slots are written and read through a bias of h = 2^(8B-1), so each
-    holds a nonnegative value and no borrow crosses a slot.  With
-    8B - 1 >= bits(max|x|) + bits(max|y|) + bitlen(overlap), every output
-    coefficient obeys |sum a_i * b_j| < 2^(8B-1) = h.
+    coefficient and the two integers are multiplied once; a square (y is
+    x) packs once and squares that integer.  Slots are written and read
+    through a bias of h = 2^(8B-1), so each holds a nonnegative value and
+    no borrow crosses a slot.  The product plus h in each of its low m
+    slots splits there into lo + 2^(8Bm) * hi, and lo + sign * hi wraps
+    it in one big-integer add (the wrap of Schoenhage-Strassen), so only
+    m slots are read back.  With 8B - 1 >= bits(max|x|) + bits(max|y|) +
+    bitlen(overlap), every coefficient, wrapped or not, obeys
+    |sum a_i * b_j| < 2^(8B-1) = h.
     """
     m = len(x)
     width = (
@@ -95,34 +99,25 @@ def _kronecker(x: Sequence[int], y: Sequence[int], overlap: int) -> list[int]:
         + 8
     ) // 8
     bias = 1 << (8 * width - 1)
-    slot = bias.to_bytes(width, "little")
-    biases = int.from_bytes(slot * m, "little")  # h in each of m slots
+    biases = int.from_bytes(bias.to_bytes(width, "little") * m, "little")
+    split = 8 * width * m
 
     def pack(v: Sequence[int]) -> int:
         biased = b"".join([(c + bias).to_bytes(width, "little") for c in v])
         return int.from_bytes(biased, "little") - biases
 
     px = pack(x)
-    product = (px * px if y is x else px * pack(y)) + int.from_bytes(
-        slot * (2 * m), "little"
-    )
-    raw = product.to_bytes(2 * m * width, "little")
+    product = (px * px if y is x else px * pack(y)) + biases
+    wrapped = (product & ((1 << split) - 1)) + sign * (product >> split)
+    raw = wrapped.to_bytes(m * width, "little")
     return [
         int.from_bytes(raw[k : k + width], "little") - bias
-        for k in range(0, 2 * m * width, width)
+        for k in range(0, m * width, width)
     ]
 
 
-def _negacyclic(x: Sequence[int], y: Sequence[int]) -> list[int]:
-    """x * y mod t^m + 1 for vectors of length m: convolve, folded by
-    t^m = -1."""
-    m = len(x)
-    full = convolve(x, y)
-    return [a - b for a, b in zip(full[:m], full[m:])]
-
-
-def _halve(c: Sequence[int]) -> tuple[list[int], list[int]]:
-    """(x(-alpha), x(alpha) * x(-alpha)) for the x with coefficients c.
+def _halve(c: Sequence[int]) -> list[int]:
+    """x(alpha) * x(-alpha) for the x with coefficients c.
 
     alpha -> -alpha generates the Galois group over the subfield of
     beta = alpha^2, so splitting x = E(beta) + alpha * O(beta) by exponent
@@ -130,24 +125,25 @@ def _halve(c: Sequence[int]) -> tuple[list[int], list[int]]:
     coefficients in powers of beta, where beta^(len(c)/2) = -1.
     """
     even, odd = c[0::2], c[1::2]
-    conj = list(c)
-    conj[1::2] = [-v for v in odd]
-    e2 = _negacyclic(even, even)
-    o2 = _negacyclic(odd, odd)
+    e2 = _wrapped(even, even, -1)
+    o2 = _wrapped(odd, odd, -1)
     # beta * O^2 moves every coefficient up one power; the top one wraps to -1
-    return conj, [e2[0] + o2[-1]] + [a - b for a, b in zip(e2[1:], o2)]
+    return [e2[0] + o2[-1]] + [a - b for a, b in zip(e2[1:], o2)]
 
 
 def _inverse(c: Sequence[int]) -> list[int]:
-    """1/x = x(-alpha) / (x(alpha) * x(-alpha)), the denominator inverted
-    one level down; at length 1 it is the norm, which must be +-1."""
+    """1/x = (E(beta) - alpha * O(beta)) * z with z = 1/(E^2 - beta * O^2)
+    inverted one level down: two half-length products, E * z for the even
+    coefficients and -O * z for the odd ones.  At length 1 the norm must
+    be +-1."""
     if len(c) == 1:
         _require_unit(c[0])
         return list(c)
-    conj, prod = _halve(c)
-    lifted = [0] * len(c)
-    lifted[::2] = _inverse(prod)
-    return _negacyclic(conj, lifted)
+    z = _inverse(_halve(c))
+    out = list(c)
+    out[0::2] = _wrapped(c[0::2], z, -1)
+    out[1::2] = [-v for v in _wrapped(c[1::2], z, -1)]
+    return out
 
 
 def _require_unit(norm: int) -> None:
@@ -236,19 +232,17 @@ class CycInt:
 
     def __mul__(self, other: CycInt) -> CycInt:
         _check_same_level(self, other)
-        return CycInt(self.level, tuple(_negacyclic(self.coeffs, other.coeffs)))
+        return CycInt(self.level, tuple(_wrapped(self.coeffs, other.coeffs, -1)))
 
     def __pow__(self, exponent: int) -> CycInt:
+        """Binary powering from the top bit down, so no square past it."""
         if exponent < 0:
             return (self ** -exponent).invert_unit()
-        result = CycInt.one(self.level)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
+        result = self if exponent else CycInt.one(self.level)
+        for bit in bin(exponent)[3:]:
+            result = result * result
+            if bit == "1":
+                result = result * self
         return result
 
     def __rmul__(self, scalar: int) -> CycInt:
@@ -280,7 +274,7 @@ class CycInt:
         the coefficients halved until one is left."""
         c = self.coeffs
         while len(c) > 1:
-            c = _halve(c)[1]
+            c = _halve(c)
         return c[0]
 
     def invert_unit(self) -> CycInt:

@@ -78,18 +78,18 @@ def cyc_square_f2(a: int, m: int) -> int:
 
 
 def cyc_pow_f2(a: int, exponent: int, m: int) -> int:
+    """Binary powering from the lowest set bit, with no square past the top
+    one; squaring never adds terms, so the base stays as sparse as a."""
     if exponent < 0:
         raise ValueError("negative exponents are not defined in the parity ring")
-    result = 1
-    base = a
-    e = exponent
-    while e:
-        if e & 1:
-            # squaring never adds terms, so base is at most as dense as a
-            result = cyc_mul_f2(base, result, m)
-        base = cyc_square_f2(base, m)
-        e >>= 1
-    return result
+    result = None
+    while exponent:
+        if exponent & 1:
+            result = a if result is None else cyc_mul_f2(a, result, m)
+        exponent >>= 1
+        if exponent:
+            a = cyc_square_f2(a, m)
+    return 1 if result is None else result
 
 
 def cyc_galois_f2(a: int, j: int, m: int) -> int:

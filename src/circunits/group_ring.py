@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .circular_units import eval_word
-from .cyclotomic import CycInt, Level, _negacyclic, _require_unit, convolve
+from .cyclotomic import CycInt, Level, _require_unit, _wrapped
 from .errors import InternalInconsistency, LevelMismatch, LevelTooSmall, NotIntegral
 from .funnel import generator_system
 from .gf2 import pack_bits
@@ -91,12 +91,11 @@ def gr_mul(a: GroupRingElt, b: GroupRingElt) -> GroupRingElt:
         raise LevelMismatch("group ring elements live at different levels")
     m = a.level.degree
     a_lo, a_hi, b_lo, b_hi = a.coeffs[:m], a.coeffs[m:], b.coeffs[:m], b.coeffs[m:]
-    full = convolve(
-        [x + y for x, y in zip(a_lo, a_hi)], [x + y for x, y in zip(b_lo, b_hi)]
+    p = _wrapped(
+        [x + y for x, y in zip(a_lo, a_hi)], [x + y for x, y in zip(b_lo, b_hi)], 1
     )
-    p = [x + y for x, y in zip(full[:m], full[m:])]
-    q = _negacyclic(
-        [x - y for x, y in zip(a_lo, a_hi)], [x - y for x, y in zip(b_lo, b_hi)]
+    q = _wrapped(
+        [x - y for x, y in zip(a_lo, a_hi)], [x - y for x, y in zip(b_lo, b_hi)], -1
     )
     gap = [x - y for x, y in zip(p, q)]
     if any(g & 1 for g in gap):

@@ -204,6 +204,45 @@ def test_word_evaluation_homomorphism(seed):
         assert eval_word(w1 * w1**-1) == CycInt.one(lv)
 
 
+def eval_word_per_factor(w: UnitWord) -> CycInt:
+    """Oracle: alpha^a times each d_j^e from left to right, every negative
+    power inverted on its own."""
+    acc = CycInt.monomial(w.level, w.alpha_exp)
+    for j, e in w.d_exps:
+        acc = acc * seq_d(w.level, j) ** e
+    return acc
+
+
+@pytest.mark.parametrize("n", range(4, 11))
+def test_eval_word_against_per_factor_route(monkeypatch, n):
+    """Words with all-positive, all-negative and mixed exponents, with and
+    without an alpha power, and the identity word: eval_word agrees with
+    the per-factor route and inverts at most once, exactly when some
+    exponent is negative."""
+    lv = Level(n)
+    rng = random.Random(300 + n)
+    indices = d_index_set(lv)
+    words = [UnitWord.identity(lv), UnitWord.make(lv, 5)]
+    for signs in ((1, 1, 1), (-1, -1, -1), (1, -1, -1), (-1, 1, -1)):
+        js = rng.sample(indices, min(len(signs), len(indices)))
+        exps = {j: s * rng.randint(1, 5) for j, s in zip(js, signs)}
+        for alpha_exp in (0, rng.randrange(1, lv.order)):
+            words.append(UnitWord.make(lv, alpha_exp, exps))
+    expected = [eval_word_per_factor(w) for w in words]
+    real_invert = CycInt.invert_unit
+    inversions = []
+
+    def spy(x):
+        inversions.append(x)
+        return real_invert(x)
+
+    monkeypatch.setattr(CycInt, "invert_unit", spy)
+    for w, want in zip(words, expected):
+        inversions.clear()
+        assert eval_word(w) == want, w.render()
+        assert len(inversions) == any(e < 0 for _, e in w.d_exps), w.render()
+
+
 def test_word_mul_level_mismatch():
     with pytest.raises(LevelMismatch):
         UnitWord.identity(Level(4)) * UnitWord.identity(Level(5))

@@ -183,9 +183,9 @@ def test_mul_against_double_loop(n, data):
 
 
 # ---------------------------------------------------------------------- #
-# the dense (Kronecker) path of convolve
+# the wrapped product _wrapped and its dense (Kronecker) path
 
-DENSE_RULE = 32  # convolve takes the dense path iff nx * ny >= 32 * m
+DENSE_RULE = 8  # _wrapped takes the dense path iff nx * ny >= 8 * m
 
 
 def ref_linear(x, y) -> list:
@@ -199,10 +199,17 @@ def ref_linear(x, y) -> list:
     return full
 
 
+def ref_wrapped(x, y, sign: int) -> list:
+    """Oracle: ref_linear folded by t^m = sign."""
+    m = len(x)
+    full = ref_linear(x, y)
+    return [full[k] + sign * full[k + m] for k in range(m)]
+
+
 def kernel_counts(m: int) -> list:
     """(nx, ny) nonzero counts on both sides of the dense rule and exactly
     at it, plus zero, single-nonzero and 3-term operands.  Dense pairs with
-    min(nx, ny) = 2^L - 1 (63, m - 1) fill a slot to its bound."""
+    min(nx, ny) = 2^L - 1 (15, 63, m - 1) fill a slot to its bound."""
     counts = {(0, m), (1, 1), (1, m), (3, m)}
     if m <= 256:  # the oracle's cost grows as nx * ny
         counts |= {(m, m), (m, m - 1), (m // 2, m // 2)}
@@ -210,6 +217,8 @@ def kernel_counts(m: int) -> list:
         counts |= {(m, DENSE_RULE - 1), (m, DENSE_RULE)}  # below, at
         if m > DENSE_RULE:
             counts |= {(m, DENSE_RULE + 1), (m, 2 * DENSE_RULE - 1)}  # above
+        if m > 63:
+            counts.add((m, 63))
         s = 1
         while s * s < DENSE_RULE * m:
             s += 1
@@ -261,11 +270,14 @@ def kernel_operands(m: int, nx: int, ny: int, kinds: tuple, rng) -> tuple:
 
 @pytest.mark.parametrize("m", [1 << k for k in range(2, 12)])
 def test_convolve_against_double_loop(monkeypatch, m):
+    """_wrapped, the convolution wrapped by t^m = +-1, against the double
+    loop folded with each sign; the dense path sees overlap min(nx, ny)
+    exactly when the pair is dense."""
     calls = []
 
-    def spy(x, y, overlap):
+    def spy(x, y, overlap, sign):
         calls.append(overlap)
-        return dense(x, y, overlap)
+        return dense(x, y, overlap, sign)
 
     dense = cyclotomic._kronecker
     monkeypatch.setattr(cyclotomic, "_kronecker", spy)
@@ -274,16 +286,18 @@ def test_convolve_against_double_loop(monkeypatch, m):
         for kinds in kernel_kinds(m):
             x, y = kernel_operands(m, nx, ny, kinds, rng)
             for a, b in ((x, y), (y, x)):
-                calls.clear()
-                expected = ref_linear(a, b)
-                assert cyclotomic.convolve(a, b) == expected
-                assert cyclotomic.convolve(tuple(a), tuple(b)) == expected
-                assert calls == [min(nx, ny)] * 2 * (nx * ny >= DENSE_RULE * m)
+                for sign in (1, -1):
+                    calls.clear()
+                    expected = ref_wrapped(a, b, sign)
+                    assert cyclotomic._wrapped(a, b, sign) == expected
+                    assert cyclotomic._wrapped(tuple(a), tuple(b), sign) == expected
+                    dense_pair = nx * ny >= DENSE_RULE * m
+                    assert calls == [min(nx, ny)] * 2 * dense_pair
 
 
 def test_kronecker_square_packs_once():
-    """_kronecker(x, x) squares: same result as _kronecker(x, list(x)),
-    with one call of its packing helper instead of two."""
+    """_kronecker(x, x, ...) squares: same result as _kronecker(x, list(x),
+    ...), with one call of its packing helper instead of two."""
     packs = []
 
     def profile(frame, event, arg):
@@ -297,15 +311,16 @@ def test_kronecker_square_packs_once():
     rng = random.Random(5)
     for m in (4, 64, 512):
         x = kernel_vector(m, m, "mixed", 300, rng)
-        for y, calls in ((x, 1), (list(x), 2)):
-            packs.clear()
-            sys.setprofile(profile)
-            try:
-                got = cyclotomic._kronecker(x, y, m)
-            finally:
-                sys.setprofile(None)
-            assert got == ref_linear(x, x)
-            assert len(packs) == calls
+        for sign in (1, -1):
+            for y, calls in ((x, 1), (list(x), 2)):
+                packs.clear()
+                sys.setprofile(profile)
+                try:
+                    got = cyclotomic._kronecker(x, y, m, sign)
+                finally:
+                    sys.setprofile(None)
+                assert got == ref_wrapped(x, x, sign)
+                assert len(packs) == calls
 
 
 @pytest.mark.parametrize("n", range(3, 13))
@@ -324,7 +339,7 @@ def test_mul_dense_path_against_double_loop(n):
 
 
 def test_sparse_products_never_take_the_dense_path(monkeypatch):
-    def refuse(x, y, overlap):
+    def refuse(x, y, overlap, sign):
         raise AssertionError("dense path taken for a sparse operand")
 
     monkeypatch.setattr(cyclotomic, "_kronecker", refuse)
@@ -498,20 +513,19 @@ def test_invert_nonunit_rejected():
         (CycInt.one(lv) - CycInt.monomial(lv, 1)).invert_unit()
 
 
-def galois_halving(c: list) -> tuple[list, list]:
-    """Oracle for one step of the halving: the conjugate under alpha ->
-    -alpha and the full product with it, its odd-exponent coefficients
-    checked to be zero and the rest compressed one level down.  From
-    length 4 on that is x.galois(len(c) + 1) and a CycInt product; at
-    length 2, Z[i], it is complex conjugation and a^2 + b^2."""
+def galois_halving(c: list) -> list:
+    """Oracle for one step of the halving: the product with the conjugate
+    under alpha -> -alpha, its odd-exponent coefficients checked to be zero
+    and the rest compressed one level down.  From length 4 on that is a
+    CycInt product with x.galois(len(c) + 1); at length 2, Z[i], it is
+    a^2 + b^2."""
     if len(c) == 2:
         a, b = c
-        return [a, -b], [a * a + b * b]
+        return [a * a + b * b]
     x = CycInt(Level(len(c).bit_length()), tuple(c))
-    conj = x.galois(len(c) + 1)
-    prod = x * conj
+    prod = x * x.galois(len(c) + 1)
     assert not any(prod.coeffs[1::2])
-    return list(conj.coeffs), list(prod.coeffs[::2])
+    return list(prod.coeffs[::2])
 
 
 def halving_against_galois_route(x: CycInt) -> int:
@@ -519,9 +533,9 @@ def halving_against_galois_route(x: CycInt) -> int:
     Galois route; returns that coefficient."""
     c = list(x.coeffs)
     while len(c) > 1:
-        got = cyclotomic._halve(c)
-        assert got == galois_halving(c)
-        c = got[1]
+        c_next = cyclotomic._halve(c)
+        assert c_next == galois_halving(c)
+        c = c_next
     return c[0]
 
 
@@ -620,6 +634,40 @@ def test_negative_pow_inverts_once(n):
         for e in range(1, 9 if n >= 8 and x in dense else 41):
             expected = expected * inverse
             assert x**-e == expected
+
+
+@pytest.mark.parametrize("n", [3, 5, 8])
+def test_pow_squares_up_to_the_top_bit(monkeypatch, n):
+    """x ** e makes bit_length(e) - 1 squarings and popcount(e) - 1 other
+    products for e = 1..70, none for e = 0, the same plus one inversion
+    for -e, and agrees with repeated multiplication."""
+    lv = Level(n)
+    real_mul, real_invert = CycInt.__mul__, CycInt.invert_unit
+    products, inversions = [], []
+
+    def spy_mul(a, b):
+        products.append(a is b)
+        return real_mul(a, b)
+
+    def spy_invert(a):
+        inversions.append(a)
+        return real_invert(a)
+
+    monkeypatch.setattr(CycInt, "__mul__", spy_mul)
+    monkeypatch.setattr(CycInt, "invert_unit", spy_invert)
+    for x in (seq_d(lv, 1), real_mul(seq_d(lv, 3), seq_d(lv, lv.degree - 3))):
+        inverse = real_invert(x)
+        expected, expected_inv = CycInt.one(lv), CycInt.one(lv)
+        for e in range(71):
+            for sign, want in ((1, expected), (-1, expected_inv)):
+                products.clear()
+                inversions.clear()
+                assert x ** (sign * e) == want
+                assert products.count(True) == max(e.bit_length() - 1, 0)
+                assert products.count(False) == max(bin(e).count("1") - 1, 0)
+                assert len(inversions) == (sign * e < 0)
+            expected = real_mul(expected, x)
+            expected_inv = real_mul(expected_inv, inverse)
 
 
 # ---------------------------------------------------------------------- #

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from circunits import CycInt, Level
+from circunits import CycInt, Level, gf2
 from circunits.gf2 import (
     cyc_galois_f2,
     cyc_mul_f2,
@@ -175,6 +175,34 @@ def test_cyc_pow_f2_against_reference(m, data):
     for _ in range(e):
         expected = ref_mul_f2(a, expected, m)
     assert cyc_pow_f2(a, e, m) == expected
+
+
+@pytest.mark.parametrize("m", [4, 64, 1024])
+def test_cyc_pow_f2_squares_up_to_the_top_bit(monkeypatch, m):
+    """cyc_pow_f2(a, e) makes bit_length(e) - 1 squarings and popcount(e) - 1
+    other products for e = 0..70, and agrees with repeated products."""
+    real_mul, real_square = gf2.cyc_mul_f2, gf2.cyc_square_f2
+    calls = []
+
+    def spy_mul(a, b, m):
+        calls.append("mul")
+        return real_mul(a, b, m)
+
+    def spy_square(a, m):
+        calls.append("square")
+        return real_square(a, m)
+
+    monkeypatch.setattr(gf2, "cyc_mul_f2", spy_mul)
+    monkeypatch.setattr(gf2, "cyc_square_f2", spy_square)
+    rng = random.Random(m)
+    for a in (1 ^ (1 << 3) ^ (1 << (m - 1)), rng.getrandbits(m)):
+        expected = 1
+        for e in range(71):
+            calls.clear()
+            assert cyc_pow_f2(a, e, m) == expected
+            assert calls.count("square") == max(e.bit_length() - 1, 0)
+            assert calls.count("mul") == max(bin(e).count("1") - 1, 0)
+            expected = real_mul(a, expected, m)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])

@@ -35,7 +35,7 @@ from circunits import (
     v1_generators,
     word_mod2,
 )
-from circunits import cyclotomic, group_ring
+from circunits import group_ring
 from test_cyclotomic import KERNEL_KINDS, kernel_counts, kernel_operands, ref_linear
 
 D1_POW4_COEFFS = (19, 16, 10, 4, 0, -4, -10, -16)
@@ -185,21 +185,20 @@ def test_gr_mul_split_against_double_loop(n):
 @pytest.mark.parametrize("which", [0, 1])
 def test_gr_mul_parity_guard(monkeypatch, which):
     """A half-product off by one in one coefficient makes p - q odd there;
-    gr_mul must raise rather than floor the halving.  p comes from
-    group_ring's convolve and q from the negacyclic product in cyclotomic,
-    so both bindings are patched and calls are counted across them."""
+    gr_mul must raise rather than floor the halving.  p and q both come
+    from group_ring's binding of the wrapped product, so that binding is
+    patched and its calls counted."""
     calls = []
 
-    def perturbed(x, y):
-        full = real(x, y)
+    def perturbed(x, y, sign):
+        wrapped = real(x, y, sign)
         if len(calls) == which:
-            full[3] += 1
-        calls.append(None)
-        return full
+            wrapped[3] += 1
+        calls.append(sign)
+        return wrapped
 
-    real = cyclotomic.convolve
-    monkeypatch.setattr(group_ring, "convolve", perturbed)
-    monkeypatch.setattr(cyclotomic, "convolve", perturbed)
+    real = group_ring._wrapped
+    monkeypatch.setattr(group_ring, "_wrapped", perturbed)
     lv = Level(5)
     rng = random.Random(which)
     a, b = (
@@ -208,12 +207,12 @@ def test_gr_mul_parity_guard(monkeypatch, which):
     )
     with pytest.raises(InternalInconsistency, match="odd"):
         gr_mul(a, b)
-    assert len(calls) == 2
+    assert calls == [1, -1]
 
 
 @pytest.mark.parametrize("n", range(3, 12))
 def test_gr_mul_dense_path_against_double_loop(n):
-    """Both sides of convolve's dense rule and exactly at it, group sizes
+    """Both sides of _wrapped's dense rule and exactly at it, group sizes
     8..2048."""
     lv = Level(n)
     size = lv.order
