@@ -147,7 +147,8 @@ def _d_power(n: int, j: int, e: int) -> CycInt:
 
 def eval_word(w: UnitWord) -> CycInt:
     """Exact ring element of a word: the product of its positive d-powers
-    over the product of its negative ones, so a word inverts at most once."""
+    over the product of its negative ones, so a word inverts at most once.
+    The value has norm 1 by construction and is marked known_unit."""
     n = w.level.n
     factors = [_d_power(n, j, e) for j, e in w.d_exps if e > 0]
     below = [_d_power(n, j, -e) for j, e in w.d_exps if e < 0]
@@ -155,7 +156,8 @@ def eval_word(w: UnitWord) -> CycInt:
         factors.append(reduce(mul, below).invert_unit())
     if w.alpha_exp:
         factors.append(CycInt.monomial(w.level, w.alpha_exp))
-    return reduce(mul, factors) if factors else CycInt.one(w.level)
+    value = reduce(mul, factors) if factors else CycInt.one(w.level)
+    return CycInt(w.level, value.coeffs, known_unit=True)
 
 
 # ---------------------------------------------------------------------- #

@@ -37,7 +37,7 @@ from .errors import (
     NotIntegral,
 )
 from .funnel import generator_system, build_partition
-from .group_ring import _gammas, _require_one_mod2
+from .group_ring import _require_one_mod2, u_chi1
 from .real_basis import r_table_tokens, s_table_tokens
 from .version import TOOL_VERSION
 
@@ -208,7 +208,7 @@ def _cmd_unit(args: argparse.Namespace, out: TextIO) -> int:
         return 2
     _check_word_size(word, bits)
     try:
-        image = _gammas(eval_word(word))
+        image = u_chi1(eval_word(word))
     except NotIntegral as exc:
         raise InternalInconsistency(f"u_chi1 refuses a word 1 mod 2: {exc}") from None
     _dump(

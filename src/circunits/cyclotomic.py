@@ -17,7 +17,7 @@ an element of Z[beta], the ring one level down, and at length 1 of Z.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .errors import EvenGaloisIndex, LevelMismatch, NotAUnit
@@ -163,13 +163,14 @@ def _check_same_level(a: CycInt, b: CycInt) -> None:
 
 @dataclass(frozen=True, slots=True)
 class CycInt:
-    """An element of Z[alpha] in reduced form.
-
-    coeffs[j] is the coefficient of alpha^j for 0 <= j < 2^(n-1).
+    """An element of Z[alpha] in reduced form: coeffs[j] is the coefficient
+    of alpha^j for 0 <= j < 2^(n-1).  Only eval_word sets known_unit (norm
+    1); ==, hash and repr ignore it, and no operation passes it on.
     """
 
     level: Level
     coeffs: tuple[int, ...]
+    known_unit: bool = field(default=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if len(self.coeffs) != self.level.degree:

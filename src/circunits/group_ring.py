@@ -119,20 +119,15 @@ def u_chi1(beta: CycInt) -> GroupRingElt:
     alpha^(-j)) / 2^n.  Written out on reduced coordinates c = beta - 1:
     gamma_j = c_j / 2 below the fold and -c_{j - m} / 2 above it.  Every
     division must be exact, otherwise beta was not congruent to 1 mod 2.
+    The norm is computed unless beta is a word value, marked known_unit.
     """
-    _require_unit(beta.norm())
-    return _gammas(beta)
-
-
-def _gammas(beta: CycInt) -> GroupRingElt:
-    """u_chi1 without the norm check, for a beta known to be a unit, such
-    as the value of a word in alpha and the d_j."""
+    if not beta.known_unit:
+        _require_unit(beta.norm())
     _require_one_mod2(pack_bits(beta.coeffs))
-    level = beta.level
-    c = (beta - CycInt.one(level)).coeffs
+    c = (beta - CycInt.one(beta.level)).coeffs
     gammas = [x // 2 for x in c] + [-x // 2 for x in c]
     gammas[0] += 1
-    return GroupRingElt(level, tuple(gammas))
+    return GroupRingElt(beta.level, tuple(gammas))
 
 
 def is_admissible(beta: CycInt) -> bool:
@@ -141,7 +136,8 @@ def is_admissible(beta: CycInt) -> bool:
     Units congruent to 1 mod 2 are automatically real, so this predicate
     matches exactly the inputs on which u_chi1 succeeds.
     """
-    _require_unit(beta.norm())
+    if not beta.known_unit:
+        _require_unit(beta.norm())
     return beta.is_real() and beta.is_congruent_one_mod2()
 
 

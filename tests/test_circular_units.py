@@ -9,6 +9,8 @@ import random
 from dataclasses import dataclass
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import cos, fabs, log, matrix, mp, pi, svd_r, workprec
 
 from circunits import (
@@ -243,6 +245,61 @@ def test_eval_word_against_per_factor_route(monkeypatch, n):
         assert len(inversions) == any(e < 0 for _, e in w.d_exps), w.render()
 
 
+def marked_words(lv: Level, rng: random.Random) -> list[UnitWord]:
+    """The identity word, a bare alpha power, and words of one to three
+    d-factors with exponents of both signs, with and without an alpha power."""
+    indices = d_index_set(lv)
+    words = [UnitWord.identity(lv), UnitWord.make(lv, rng.randrange(1, lv.order))]
+    for size in (1, 2, 3):
+        js = rng.sample(indices, min(size, len(indices)))
+        exps = {j: rng.choice((-1, 1)) * rng.randint(1, 3) for j in js}
+        for alpha_exp in (0, rng.randrange(1, lv.order)):
+            words.append(UnitWord.make(lv, alpha_exp, exps))
+    return words
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_word_value_has_norm_one_and_is_marked(n):
+    """N(alpha) = 1 and d_j = alpha^(-j) (1 - alpha^(3j)) / (1 - alpha^j),
+    a quotient of two elements of norm Phi_(2^n)(1) = 2, so every word value
+    has norm exactly 1, not -1; eval_word marks each one."""
+    lv = Level(n)
+    for w in marked_words(lv, random.Random(700 + n)):
+        value = eval_word(w)
+        assert value.known_unit, w.render()
+        assert value.norm() == 1, w.render()
+
+
+def test_hand_built_copy_is_unmarked_and_indistinguishable():
+    lv = Level(6)
+    for w in marked_words(lv, random.Random(71)):
+        marked = eval_word(w)
+        copy = CycInt(lv, marked.coeffs)
+        assert not copy.known_unit
+        assert copy == marked and hash(copy) == hash(marked)
+        assert repr(copy) == repr(marked)
+
+
+def test_no_operation_passes_the_mark_on():
+    lv = Level(5)
+    rng = random.Random(72)
+    a, b = (eval_word(w) for w in marked_words(lv, rng)[3:5])
+    assert a.known_unit and b.known_unit
+    results = [
+        a + b,
+        a - b,
+        -a,
+        3 * a,
+        a * b,
+        a**2,
+        a**-1,
+        a.invert_unit(),
+        a.galois(3),
+        CycInt.from_terms(lv, enumerate(a.coeffs)),
+    ]
+    assert not any(r.known_unit for r in results)
+
+
 def test_word_mul_level_mismatch():
     with pytest.raises(LevelMismatch):
         UnitWord.identity(Level(4)) * UnitWord.identity(Level(5))
@@ -262,6 +319,63 @@ def test_word_render_and_parse():
         parse_word(lv, "x^2")
     with pytest.raises(ValueError):
         parse_word(lv, "d")
+
+
+@st.composite
+def unit_words(draw) -> UnitWord:
+    lv = Level(draw(st.integers(3, 12)))
+    indices = draw(st.lists(st.sampled_from(d_index_set(lv)), unique=True, max_size=6))
+    exponent = st.integers(-(1 << 40), 1 << 40).filter(bool)
+    exps = {j: draw(exponent) for j in indices}
+    return UnitWord.make(lv, draw(st.integers(0, lv.order - 1)), exps)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(w=unit_words())
+def test_render_parse_round_trip(w):
+    assert parse_word(w.level, w.render()) == w
+
+
+# Each takes a well-formed word's text and breaks its syntax.
+SYNTAX_BREAKS = (
+    lambda text: text + " *",
+    lambda text: "* " + text,
+    lambda text: text + " * * d1",
+    lambda text: text + " ** d1",
+    lambda text: text + "^",
+    lambda text: text + "^^2",
+    lambda text: "^2 * " + text,
+    lambda text: text + " + d1",
+    lambda text: text + " / d1",
+    lambda text: text + " * d",
+    lambda text: "d^3 * " + text,
+    lambda text: text + " * d-1",
+    lambda text: text + " * b2",
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(w=unit_words(), brk=st.sampled_from(SYNTAX_BREAKS))
+def test_malformed_word_syntax_raises_value_error(w, brk):
+    with pytest.raises(ValueError):
+        parse_word(w.level, brk(w.render()))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    w=unit_words(),
+    k=st.integers(0, 1 << 12),
+    even=st.booleans(),
+    e=st.integers(-9, 9).filter(bool),
+)
+def test_index_outside_the_generator_set_raises(w, k, even, e):
+    """An even index, or an odd one above 2^(n-1) - 3, with a nonzero
+    exponent, next to the factors of a well-formed word."""
+    j = 2 * k if even else w.level.degree - 1 + 2 * k
+    factors = [] if w == UnitWord.identity(w.level) else [w.render()]
+    text = " * ".join(factors + [f"d{j}^{e}"])
+    with pytest.raises(IndexOutOfRange):
+        parse_word(w.level, text)
 
 
 def test_identity_renders_as_one():

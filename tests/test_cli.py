@@ -292,7 +292,7 @@ def test_unit_parity_and_exact_disagreement_exits_3(monkeypatch, capsys):
     def refuse(beta):
         raise NotIntegral("trace coefficient at x^1 is odd; beta is not 1 mod 2")
 
-    monkeypatch.setattr(cli, "_gammas", refuse)
+    monkeypatch.setattr(cli, "u_chi1", refuse)
     code, out, err = run(capsys, "unit", "--n", "4", "--word", "d1^4")
     assert (code, out) == (3, "")
     assert err.startswith("internal disagreement: u_chi1 refuses a word 1 mod 2")

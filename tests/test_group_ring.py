@@ -37,6 +37,7 @@ from circunits import (
 )
 from circunits import group_ring
 from test_cyclotomic import KERNEL_KINDS, kernel_counts, kernel_operands, ref_linear
+from test_golden_exact import V1_DIGEST_N7, v1_digest
 
 D1_POW4_COEFFS = (19, 16, 10, 4, 0, -4, -10, -16)
 D1_POW4_GAMMAS = (10, 8, 5, 2, 0, -2, -5, -8, -9, -8, -5, -2, 0, 2, 5, 8)
@@ -353,6 +354,40 @@ def test_u_chi1_rejects_non_units():
         u_chi1(CycInt.from_int(lv, 2))
     with pytest.raises(NotAUnit, match=r"^norm is 6561, not \+-1$"):
         is_admissible(CycInt.from_int(lv, 3))
+
+
+def norm_spy(monkeypatch) -> list[CycInt]:
+    """Record every CycInt.norm call from here on; the norm still runs."""
+    real_norm = CycInt.norm
+    calls = []
+
+    def spy(x):
+        calls.append(x)
+        return real_norm(x)
+
+    monkeypatch.setattr(CycInt, "norm", spy)
+    return calls
+
+
+@pytest.mark.parametrize("n", [4, 7, 9])
+def test_norm_is_skipped_exactly_for_word_values(monkeypatch, n):
+    lv = Level(n)
+    marked = admissible_beta(lv, random.Random(n))
+    unmarked = CycInt(lv, marked.coeffs)
+    calls = norm_spy(monkeypatch)
+    for check in (u_chi1, is_admissible):
+        calls.clear()
+        first = check(marked)
+        assert calls == []
+        assert check(unmarked) == first
+        assert calls == [unmarked]
+
+
+def test_v1_generators_compute_no_norm(monkeypatch):
+    calls = norm_spy(monkeypatch)
+    report = v1_generators(Level(7))
+    assert calls == []
+    assert v1_digest(report) == V1_DIGEST_N7
 
 
 def test_alpha_is_not_admissible():
