@@ -3,7 +3,7 @@
 Subcommands: verify (main-theorem certificates), tables (mod-2 s/r tables),
 funnel (partition and generator systems), unit (group-ring gamma vector of
 a word), identities (congruence identity reports, computed in the parity
-ring Z[alpha]/2 with no exact arithmetic; about 0.35 s at n = 12).  verify
+ring Z[alpha]/2 with no exact arithmetic; about 0.2 s at n = 12).  verify
 proves its verdict at every level 4..12: it checks the square-zero lemma
 (each of s_{2^(n-3)}, r_1, ..., r_{2^(n-3)-1} is annihilated by
 (1 + alpha)^(m/2) mod 2, so every product of two of them is 0 mod 2),

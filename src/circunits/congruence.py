@@ -8,7 +8,7 @@ lemma: the classes lie in 1 + V, and V*V = 0 mod 2 for V = span(s_q, r_1,
 ..., r_{q-1}), q = 2^(n-3), so the GF(2) system linearizing the products
 is exact.
 The identity reports compare classes mod 2 as well, all in the parity
-ring, with no exact arithmetic; at n = 12 they take about 0.35 s.
+ring, with no exact arithmetic; at n = 12 they take about 0.2 s.
 """
 
 from __future__ import annotations
@@ -21,13 +21,14 @@ from .circular_units import UnitWord, eval_word
 from .cyclotomic import Level
 from .errors import (
     DisagreementError,
+    EvenGaloisIndex,
     IndexOutOfRange,
     InternalInconsistency,
     LevelTooSmall,
     NonRealWord,
 )
 from .funnel import generator_system, q_word
-from .gf2 import cyc_galois_f2, cyc_mul_f2, cyc_pow_f2, gf2_rank, unpack_bits
+from .gf2 import cyc_mul_f2, cyc_pow_f2, gf2_rank, unpack_bits
 from .real_basis import (
     SpecialCoordsMod2,
     _position_labels,
@@ -70,27 +71,31 @@ def _r_mask(level: Level, t: int) -> int:
     return _s_mask(level, t) ^ _s_mask(level, (1 << (level.n - 2)) - t)
 
 
-def _word_parities(w: UnitWord) -> int:
-    """Coefficient parities of a word, as an m-bit mask, in Z[alpha]/2.
+def _word_parities(w: UnitWord, j: int = 1) -> int:
+    """Coefficient parities of sigma_j(w), as an m-bit mask, in Z[alpha]/2.
 
-    Signs vanish mod 2, so alpha^a is bit a mod m.  Squaring is the
-    Frobenius map, so d_j^e is the product of the sparse factors
-    d_j^(2^k) = 1 + s_(2^k j) over the set bits k of e mod 2^(n-2).  That
-    reduction lifts negative exponents, and its premise d_j^(2^(n-2)) = 1
-    mod 2 is checked for each index used.
+    sigma_j sends alpha to alpha^j and d_i to d_(i*j), for odd j.  Signs
+    vanish mod 2, so alpha^a is bit a*j mod m.  Squaring is the Frobenius
+    map, so d_(i*j)^e is the product of the sparse factors d_(i*j)^(2^k) =
+    1 + s_(2^k i j) over the set bits k of e mod 2^(n-2).  That reduction
+    lifts negative exponents, and its premise d_(i*j)^(2^(n-2)) = 1 mod 2
+    is checked for each index used.
     """
+    if j % 2 == 0:
+        raise EvenGaloisIndex(f"Galois index must be odd, got {j}")
     level = w.level
     m = level.degree
     shift = level.n - 2
-    parities = 1 << w.alpha_exp % m
-    for j, e in w.d_exps:
-        if _s_mask(level, j << shift):
+    parities = 1 << w.alpha_exp * j % m
+    for i, e in w.d_exps:
+        i *= j
+        if _s_mask(level, i << shift):
             raise InternalInconsistency(
-                f"d_{j} does not have order dividing 2^(n-2) mod 2"
+                f"d_{i} does not have order dividing 2^(n-2) mod 2"
             )
         for k in range(shift):  # the low bits of e, two's complement if e < 0
             if e >> k & 1:
-                parities = cyc_mul_f2(1 ^ _s_mask(level, j << k), parities, m)
+                parities = cyc_mul_f2(1 ^ _s_mask(level, i << k), parities, m)
     return parities
 
 
@@ -214,13 +219,14 @@ def q_power_identities(level: Level) -> dict:
 
 
 def galois_transport_check(level: Level) -> dict:
-    """Check that the automorphism alpha -> alpha^j moves q(k,1) half-powers
-    onto the q(k,j) half-powers mod 2, and tabulate every coset generator.
+    """Check that the automorphism sigma_j: alpha -> alpha^j moves q(k,1)
+    half-powers onto the q(k,j) half-powers mod 2, and tabulate every coset
+    generator.
 
-    In Z[alpha]/2 the automorphism permutes the bits of a class (bit a goes
-    to bit a*j mod m), so each transport moves the parity mask of
-    q(k,1)^(2^(k-1)) and compares it with the class of the word
-    q(k,j)^(2^(k-1)), computed on its own.  The k = 1 block is the
+    sigma_j sends d_i to d_(i*j), so the image of q(k,1)^(2^(k-1)) is again
+    a product of sparse Frobenius factors, and each transport compares its
+    class with the class of the word q(k,j)^(2^(k-1)), computed on its own:
+    d_(2^(n-1-k)-j) against d_((2^(n-1-k)-1)*j).  The k = 1 block is the
     transport statement proper; higher blocks hold because raising to
     2^(k-1) multiplies sequence indices by 2^(k-1), which absorbs the index
     discrepancy into the mod-2 period.
@@ -228,25 +234,22 @@ def galois_transport_check(level: Level) -> dict:
     n = level.n
     if n < 5:
         raise LevelTooSmall(f"transport needs a nontrivial A_1 block, n >= 5, got {n}")
-    m = level.degree
     gens = generator_system(level).sqrt_gens
     classes = [word_mod2(lw.word) for lw in gens]
     transports = []
-    for k in range(n - 3, 0, -1):
-        half = 1 << (k - 1)
-        base_mask = _word_parities(q_word(level, k, 1) ** half)
-        for lw, lhs in zip(gens, classes):
-            if lw.k != k:
-                continue
-            rhs = special_mod2_from_parities(level, cyc_galois_f2(base_mask, lw.j, m))
-            transports.append(
-                {
-                    "label": lw.label,
-                    "passed": lhs == rhs,
-                    "value": lhs.render(),
-                    "transported": rhs.render(),
-                }
-            )
+    for lw, lhs in zip(gens, classes):
+        if lw.k is None:
+            continue
+        base = q_word(level, lw.k, 1) ** (1 << (lw.k - 1))
+        rhs = special_mod2_from_parities(level, _word_parities(base, lw.j))
+        transports.append(
+            {
+                "label": lw.label,
+                "passed": lhs == rhs,
+                "value": lhs.render(),
+                "transported": rhs.render(),
+            }
+        )
     table = [
         {"label": lw.label, "value": value.render()}
         for lw, value in zip(gens, classes)
@@ -380,12 +383,11 @@ def _exhaustive_kernel(masks: list[int], m: int) -> tuple[int, int]:
     return 1 << len(masks), hits
 
 
-def _transpose(masks: list[int], positions: range) -> list[int]:
-    """GF(2) rows from column masks: row r has bit i set iff masks[i] has
-    bit positions[r] set.  zip reads the masks' bit strings (lowest bit
-    first, last mask first) position by position."""
-    cut = slice(positions.start, positions.stop, positions.step)
-    columns = [format(x, f"0{positions.stop}b")[::-1][cut] for x in reversed(masks)]
+def _transpose(masks: list[int], width: int) -> list[int]:
+    """GF(2) rows from column masks: row r < width has bit i set iff
+    masks[i] has bit r set.  zip reads the masks' low bit strings (lowest
+    bit first, last mask first) position by position."""
+    columns = [format(x, f"0{width}b")[::-1][:width] for x in reversed(masks)]
     return [int("".join(bits), 2) for bits in zip(*columns)]
 
 
@@ -420,12 +422,12 @@ def verify_main_theorem(level: Level) -> Certificate:
         classes.append(coords)
         masks.append(mask)
 
+    # row p - 1 is B-position p; position 0, the constant 1, is dropped
     labels = _position_labels(n)
-    positions = range(1, 1 << (n - 2))
-    rows = _transpose([c.mask for c in classes], positions)
+    rows = _transpose([c.mask for c in classes], 1 << (n - 2))[1:]
     rank = gf2_rank(rows)
     f2 = F2System(
-        row_labels=tuple(labels[p] for p in positions),
+        row_labels=labels[1:],
         rows=tuple(rows),
         rank=rank,
         nullity=g - rank,
@@ -445,9 +447,11 @@ def verify_main_theorem(level: Level) -> Certificate:
     odd_r = None
     if n >= 5:
         quarter = 1 << (n - 3)
+        # generator_system puts the k = 1 block last, so its columns are
+        # the top bits of each row
         block = [i for i, lw in enumerate(gens) if lw.k == 1]
         odd_r_positions = range(quarter + 1, 2 * quarter, 2)
-        sub_rows = _transpose([classes[i].mask for i in block], odd_r_positions)
+        sub_rows = [rows[p - 1] >> block[0] for p in odd_r_positions]
         sub_rank = gf2_rank(sub_rows)
         sub_width = max(1, (len(block) + 3) // 4)
         odd_r = {

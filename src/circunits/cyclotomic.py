@@ -289,10 +289,6 @@ class CycInt:
         """Coefficient parities; the element is 1 mod 2 iff this is (1,0,...,0)."""
         return tuple(c & 1 for c in self.coeffs)
 
-    def is_congruent_one_mod2(self) -> bool:
-        bits = self.mod2_coords()
-        return bits[0] == 1 and not any(bits[1:])
-
     def is_real(self) -> bool:
         """True iff fixed by alpha -> alpha^(-1).
 

@@ -13,9 +13,7 @@ __all__ = [
     "pack_bits",
     "unpack_bits",
     "cyc_mul_f2",
-    "cyc_square_f2",
     "cyc_pow_f2",
-    "cyc_galois_f2",
 ]
 
 
@@ -66,17 +64,6 @@ def cyc_mul_f2(a: int, b: int, m: int) -> int:
     return (acc ^ (acc >> m)) & ((1 << m) - 1)
 
 
-def cyc_square_f2(a: int, m: int) -> int:
-    """Squaring mod 2 doubles each exponent (the Frobenius map)."""
-    acc = 0
-    while a:
-        low = a & -a
-        e = 2 * (low.bit_length() - 1)
-        acc ^= 1 << (e - m if e >= m else e)
-        a ^= low
-    return acc
-
-
 def cyc_pow_f2(a: int, exponent: int, m: int) -> int:
     """Binary powering from the lowest set bit, with no square past the top
     one; squaring never adds terms, so the base stays as sparse as a."""
@@ -88,14 +75,5 @@ def cyc_pow_f2(a: int, exponent: int, m: int) -> int:
             result = a if result is None else cyc_mul_f2(a, result, m)
         exponent >>= 1
         if exponent:
-            a = cyc_square_f2(a, m)
+            a = cyc_mul_f2(a, a, m)
     return 1 if result is None else result
-
-
-def cyc_galois_f2(a: int, j: int, m: int) -> int:
-    """Image of a mod-2 class under alpha -> alpha^j, j odd (else pow
-    raises ValueError): alpha^(i*j) = +-alpha^(i*j mod m), so bit p of the
-    image is bit p/j mod m of a."""
-    inverse = pow(j, -1, m)
-    bits = format(a, f"0{m}b")  # bits[~i] is bit i
-    return int("".join([bits[~(p * inverse % m)] for p in range(m - 1, -1, -1)]), 2)

@@ -138,7 +138,7 @@ def is_admissible(beta: CycInt) -> bool:
     """
     if not beta.known_unit:
         _require_unit(beta.norm())
-    return beta.is_real() and beta.is_congruent_one_mod2()
+    return beta.is_real() and pack_bits(beta.coeffs) == 1
 
 
 @dataclass(frozen=True, slots=True)

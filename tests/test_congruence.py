@@ -3,10 +3,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from circunits import (
     CycInt,
     DisagreementError,
+    EvenGaloisIndex,
     InternalInconsistency,
     Level,
     LevelTooSmall,
@@ -204,9 +207,10 @@ def test_galois_transport_level_gate():
 
 
 def test_transport_can_fail(monkeypatch, capsys):
-    # with alpha -> alpha^j replaced by the identity map, q(k,1)^(2^(k-1))
-    # is "transported" onto itself, which only the j = 1 generators match
-    monkeypatch.setattr(congruence, "cyc_galois_f2", lambda a, j, m: a)
+    # with sigma_j replaced by the identity map, q(k,1)^(2^(k-1)) is
+    # "transported" onto itself, which only the j = 1 generators match
+    word_parities = congruence._word_parities
+    monkeypatch.setattr(congruence, "_word_parities", lambda w, j=1: word_parities(w))
     report = galois_transport_check(Level(6))
     assert not report["all_passed"]
     failed = [t["label"] for t in report["transports"] if not t["passed"]]
@@ -551,10 +555,39 @@ def test_word_parities_against_dense_powers(n):
             assert parities == pack_bits(eval_word(w).coeffs), w.render()
 
 
-def _transpose_by_bits(masks, positions):
+@st.composite
+def galois_cases(draw, n):
+    # a word with an alpha power and exponents of both signs, and an odd
+    # automorphism index of either sign, up to well past the order 2^n
+    lv = Level(n)
+    indices = draw(st.lists(st.sampled_from(d_index_set(lv)), unique=True, max_size=3))
+    exps = {i: draw(st.integers(-40, 40)) for i in indices}
+    w = word(lv, exps, alpha=draw(st.integers(0, lv.order - 1)))
+    return w, 2 * draw(st.integers(-2 * lv.order, 2 * lv.order)) + 1
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+@settings(derandomize=True, max_examples=15, deadline=None)
+@given(data=st.data())
+def test_word_parities_is_the_galois_image(n, data):
+    """sigma_j of a word in the parity ring against the parities of the
+    exact Galois image of its value."""
+    w, j = data.draw(galois_cases(n))
+    expected = pack_bits(eval_word(w).galois(j).coeffs)
+    assert congruence._word_parities(w, j) == expected, (w.render(), j)
+
+
+def test_word_parities_rejects_even_galois_indices():
+    w = word(Level(5), {1: 3, 7: -1}, alpha=2)
+    for j in (0, 2, -4):
+        with pytest.raises(EvenGaloisIndex):
+            congruence._word_parities(w, j)
+
+
+def _transpose_by_bits(masks, width):
     # the per-bit loop that congruence._transpose replaces
     rows = []
-    for p in positions:
+    for p in range(width):
         row = 0
         for i, mask in enumerate(masks):
             row |= ((mask >> p) & 1) << i
@@ -565,16 +598,14 @@ def _transpose_by_bits(masks, positions):
 @pytest.mark.parametrize("n", [4, 5, 7, 9, 12])
 def test_transpose_against_bit_loop(n):
     rng = random.Random(n)
-    width = 1 << (n - 2)
-    quarter = width // 2
-    shapes = [range(1, width), range(quarter + 1, 2 * quarter, 2), range(0, 2 * width)]
-    for positions in shapes:
+    quarter = 1 << (n - 3)
+    for width in (quarter, 2 * quarter, 4 * quarter):
         for count in (1, 2, 5, quarter):
-            # some masks carry bits past positions.stop, which must be ignored
+            # some masks carry bits past the width, which must be ignored
             masks = [rng.getrandbits(2 * width + 3) for _ in range(count)]
             masks[0] = 0
-            assert congruence._transpose(masks, positions) == _transpose_by_bits(
-                masks, positions
+            assert congruence._transpose(masks, width) == _transpose_by_bits(
+                masks, width
             )
 
 
@@ -657,8 +688,8 @@ def _drop_last_row(monkeypatch):
     # linearized route predicts a kernel the exhaustive count does not see
     transpose = congruence._transpose
 
-    def dropped(masks, positions):
-        return transpose(masks, positions)[:-1]
+    def dropped(masks, width):
+        return transpose(masks, width)[:-1]
 
     monkeypatch.setattr(congruence, "_transpose", dropped)
 

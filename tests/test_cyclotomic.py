@@ -27,6 +27,7 @@ from circunits import (
     seq_s,
 )
 from circunits import cyclotomic
+from circunits.gf2 import pack_bits
 
 
 def random_elem(level: Level, rng: random.Random, bound: int = 9) -> CycInt:
@@ -678,8 +679,9 @@ def test_mod2_and_congruence():
     lv = Level(4)
     a = CycInt(lv, (3, 2, -4, 0, 0, 8, 2, 1))
     assert a.mod2_coords() == (1, 0, 0, 0, 0, 0, 0, 1)
-    assert not a.is_congruent_one_mod2()
-    assert CycInt.from_int(lv, 3).is_congruent_one_mod2()
+    # 1 mod 2 is the parity mask 1, the test is_admissible and u_chi1 make
+    assert pack_bits(a.coeffs) != 1
+    assert pack_bits(CycInt.from_int(lv, 3).coeffs) == 1
     assert CycInt.one(lv) != CycInt.zero(lv)
     assert CycInt.one(lv) - CycInt.one(lv) == CycInt.zero(lv)
 
