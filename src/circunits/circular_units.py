@@ -14,7 +14,7 @@ from functools import lru_cache, reduce
 from operator import mul
 from typing import Mapping
 
-from .cyclotomic import CycInt, Level
+from .cyclotomic import CycInt, Level, _divide
 from .errors import IndexOutOfRange, LevelMismatch
 from .real_basis import seq_d
 
@@ -140,24 +140,25 @@ def parse_word(level: Level, text: str) -> UnitWord:
 
 
 @lru_cache(maxsize=None)
-def _d_power(n: int, j: int, e: int) -> CycInt:
-    """d_j^e; eval_word asks for e > 0 only, so d_j^-e shares d_j^e's entry."""
-    return seq_d(Level(n), j) ** e
+def _d_power(n: int, e: int) -> CycInt:
+    """d_1^e, e > 0: d_j^e is its Galois image sigma_j(d_1^e), so one power
+    per exponent serves every index."""
+    return seq_d(Level(n), 1) ** e
 
 
 def eval_word(w: UnitWord) -> CycInt:
-    """Exact ring element of a word: the product of its positive d-powers
-    over the product of its negative ones, so a word inverts at most once.
-    The value has norm 1 by construction and is marked known_unit."""
+    """Exact ring element of a word: alpha^a times its positive d-powers,
+    divided once by the product of its negative ones.  The value has norm
+    1 by construction and is marked known_unit."""
     n = w.level.n
-    factors = [_d_power(n, j, e) for j, e in w.d_exps if e > 0]
-    below = [_d_power(n, j, -e) for j, e in w.d_exps if e < 0]
+    above = [_d_power(n, e).galois(j) for j, e in w.d_exps if e > 0]
+    below = [_d_power(n, -e).galois(j) for j, e in w.d_exps if e < 0]
+    if w.alpha_exp or not w.d_exps:  # alpha^0 = 1 is the empty word's value
+        above.append(CycInt.monomial(w.level, w.alpha_exp))
+    value = reduce(mul, above).coeffs if above else None
     if below:
-        factors.append(reduce(mul, below).invert_unit())
-    if w.alpha_exp:
-        factors.append(CycInt.monomial(w.level, w.alpha_exp))
-    value = reduce(mul, factors) if factors else CycInt.one(w.level)
-    return CycInt(w.level, value.coeffs, known_unit=True)
+        value = _divide(value, reduce(mul, below).coeffs)
+    return CycInt(w.level, tuple(value), known_unit=True)
 
 
 # ---------------------------------------------------------------------- #

@@ -236,24 +236,22 @@ def galois_transport_check(level: Level) -> dict:
         raise LevelTooSmall(f"transport needs a nontrivial A_1 block, n >= 5, got {n}")
     gens = generator_system(level).sqrt_gens
     classes = [word_mod2(lw.word) for lw in gens]
+    shown = [value.render() for value in classes]
+    bases = {k: q_word(level, k, 1) ** (1 << (k - 1)) for k in range(1, n - 2)}
     transports = []
-    for lw, lhs in zip(gens, classes):
+    for lw, lhs, text in zip(gens, classes, shown):
         if lw.k is None:
             continue
-        base = q_word(level, lw.k, 1) ** (1 << (lw.k - 1))
-        rhs = special_mod2_from_parities(level, _word_parities(base, lw.j))
+        rhs = special_mod2_from_parities(level, _word_parities(bases[lw.k], lw.j))
         transports.append(
             {
                 "label": lw.label,
                 "passed": lhs == rhs,
-                "value": lhs.render(),
+                "value": text,
                 "transported": rhs.render(),
             }
         )
-    table = [
-        {"label": lw.label, "value": value.render()}
-        for lw, value in zip(gens, classes)
-    ]
+    table = [{"label": lw.label, "value": text} for lw, text in zip(gens, shown)]
     return {
         "n": n,
         "certified_range": 5 <= n <= 7,

@@ -6,13 +6,15 @@ is over arbitrary-precision integers; nothing here ever rounds.
 
 Products use the ring's structure where it halves the work.  A square
 packs its operand once, so the big-integer multiply is a squaring.  The
-norm and the inverse descend the subfield tower Q < Q(i) < ... < Q(alpha),
-all of whose steps are quadratic, by two half-length squares: with
-x = E(alpha^2) + alpha * O(alpha^2) and beta = alpha^2,
+norm and division by a unit descend the subfield tower Q < Q(i) < ... <
+Q(alpha), all of whose steps are quadratic, by two half-length squares:
+with x = E(alpha^2) + alpha * O(alpha^2) and beta = alpha^2,
 
     x(alpha) * x(-alpha) = E(beta)^2 - beta * O(beta)^2,
 
-an element of Z[beta], the ring one level down, and at length 1 of Z.
+an element of Z[beta], the ring one level down, and at length 1 of Z.  So
+p/x = p * x(-alpha) * z with z the inverse of that element one level down;
+the inverse is the case p = 1.
 """
 
 from __future__ import annotations
@@ -131,19 +133,22 @@ def _halve(c: Sequence[int]) -> list[int]:
     return [e2[0] + o2[-1]] + [a - b for a, b in zip(e2[1:], o2)]
 
 
-def _inverse(c: Sequence[int]) -> list[int]:
-    """1/x = (E(beta) - alpha * O(beta)) * z with z = 1/(E^2 - beta * O^2)
-    inverted one level down: two half-length products, E * z for the even
-    coefficients and -O * z for the odd ones.  At length 1 the norm must
-    be +-1."""
+def _divide(p: Sequence[int] | None, c: Sequence[int]) -> list[int]:
+    """p/x for the unit x with coefficients c, or 1/x when p is None.
+    With x(-alpha) = E(beta) - alpha * O(beta) and z = 1/(E^2 - beta * O^2)
+    inverted one level down, p/x = p * x(-alpha) * z: one product, then two
+    half-length ones, the even and the odd coefficients of p * x(-alpha)
+    times z.  At length 1 the norm must be +-1."""
     if len(c) == 1:
         _require_unit(c[0])
-        return list(c)
-    z = _inverse(_halve(c))
-    out = list(c)
-    out[0::2] = _wrapped(c[0::2], z, -1)
-    out[1::2] = [-v for v in _wrapped(c[1::2], z, -1)]
-    return out
+        return list(c) if p is None else [c[0] * v for v in p]
+    z = _divide(None, _halve(c))
+    num = [-v if i & 1 else v for i, v in enumerate(c)]  # x(-alpha)
+    if p is not None:
+        num = _wrapped(p, num, -1)
+    num[0::2] = _wrapped(num[0::2], z, -1)
+    num[1::2] = _wrapped(num[1::2], z, -1)
+    return num
 
 
 def _require_unit(norm: int) -> None:
@@ -280,7 +285,7 @@ class CycInt:
 
     def invert_unit(self) -> CycInt:
         """Inverse of a unit, descending the subfield tower to Z."""
-        return CycInt(self.level, tuple(_inverse(self.coeffs)))
+        return CycInt(self.level, tuple(_divide(None, self.coeffs)))
 
     # ------------------------------------------------------------------ #
     # reductions and predicates

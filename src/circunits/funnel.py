@@ -41,14 +41,11 @@ def build_partition(level: Level) -> FunnelPartition:
     if n < 4:
         raise LevelTooSmall(f"funnel partitions need n >= 4, got {n}")
     full = d_index_set(level)
-    a_sets = []
-    for k in range(n - 2):
-        bound = 1 << (n - 2 - k)
-        a_sets.append(tuple(j for j in full if j < bound))
-    b_sets = [tuple(j for j in full if j not in a_sets[0])]
-    for k in range(1, n - 2):
-        prev, cur = set(a_sets[k - 1]), set(a_sets[k])
-        b_sets.append(tuple(sorted(prev - cur)))
+    bounds = [1 << (n - 2 - k) for k in range(n - 2)]
+    a_sets = [tuple(j for j in full if j < bound) for bound in bounds]
+    # B_k = A_(k-1) - A_k: the indices of the set above at or past the bound
+    above = [full] + a_sets
+    b_sets = [tuple(j for j in up if j >= bound) for up, bound in zip(above, bounds)]
     return FunnelPartition(level, tuple(a_sets), tuple(b_sets))
 
 

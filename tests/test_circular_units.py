@@ -28,6 +28,7 @@ from circunits import (
     parse_word,
     seq_d,
 )
+from circunits import circular_units
 
 
 def fold_d_index(level: Level, j: int) -> int:
@@ -219,8 +220,9 @@ def eval_word_per_factor(w: UnitWord) -> CycInt:
 def test_eval_word_against_per_factor_route(monkeypatch, n):
     """Words with all-positive, all-negative and mixed exponents, with and
     without an alpha power, and the identity word: eval_word agrees with
-    the per-factor route and inverts at most once, exactly when some
-    exponent is negative."""
+    the per-factor route and divides at most once, exactly when some
+    exponent is negative: one top-level call of the division helper, whose
+    descent below the top level is not counted."""
     lv = Level(n)
     rng = random.Random(300 + n)
     indices = d_index_set(lv)
@@ -231,18 +233,31 @@ def test_eval_word_against_per_factor_route(monkeypatch, n):
         for alpha_exp in (0, rng.randrange(1, lv.order)):
             words.append(UnitWord.make(lv, alpha_exp, exps))
     expected = [eval_word_per_factor(w) for w in words]
-    real_invert = CycInt.invert_unit
-    inversions = []
+    real_divide = circular_units._divide
+    descents = []
 
-    def spy(x):
-        inversions.append(x)
-        return real_invert(x)
+    def spy(p, c):
+        descents.append(c)
+        return real_divide(p, c)
 
-    monkeypatch.setattr(CycInt, "invert_unit", spy)
+    monkeypatch.setattr(circular_units, "_divide", spy)
     for w, want in zip(words, expected):
-        inversions.clear()
+        descents.clear()
         assert eval_word(w) == want, w.render()
-        assert len(inversions) == any(e < 0 for _, e in w.d_exps), w.render()
+        assert len(descents) == any(e < 0 for _, e in w.d_exps), w.render()
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_d_power_galois_images_are_the_d_j_powers(n):
+    """sigma_j(d_1^e) = d_j^e for odd j, inside the generator set and
+    outside it (d_(2^n - j) = d_j, and j past 2^(n-1)), for e = 1..40."""
+    lv = Level(n)
+    rng = random.Random(700 + n)
+    indices = d_index_set(lv)
+    js = {1, indices[-1], rng.choice(indices), lv.degree + 1, lv.order - 3}
+    for e in range(1, 41):
+        for j in sorted(js):
+            assert circular_units._d_power(n, e).galois(j) == seq_d(lv, j) ** e, (j, e)
 
 
 def marked_words(lv: Level, rng: random.Random) -> list[UnitWord]:

@@ -595,6 +595,36 @@ def test_non_units_keep_their_messages(n):
         (CycInt.one(lv) - CycInt.monomial(lv, 1)).invert_unit()
 
 
+@pytest.mark.parametrize("n", range(3, 11))
+def test_divide_against_the_product_with_the_inverse(n):
+    """p/x through the descent against p * x.invert_unit() for random p,
+    dense and sparse, and for dense units x and -x; p = None is the
+    inverse itself.  A nonzero element of Z[alpha] has a positive norm
+    (it is a product of |sigma(x)|^2 over pairs of complex conjugate
+    embeddings), so the sign -1 can only reach the length-1 step directly,
+    which is checked on its own.  A non-unit divisor keeps the messages of
+    invert_unit."""
+    lv = Level(n)
+    rng = random.Random(500 + n)
+    for bits in (40, 400):
+        u = dense_unit(lv, rng, bits)
+        for x in (u, -u):
+            inverse = x.invert_unit()
+            assert cyclotomic._divide(None, x.coeffs) == list(inverse.coeffs)
+            for p in (random_elem(lv, rng, bound=1 << 30), seq_d(lv, 3), u):
+                quotient = cyclotomic._divide(p.coeffs, x.coeffs)
+                assert quotient == list((p * inverse).coeffs)
+                assert CycInt(lv, tuple(quotient)) * x == p
+    for sign in (1, -1):
+        assert cyclotomic._divide([7], [sign]) == [7 * sign]
+        assert cyclotomic._divide(None, [sign]) == [sign]
+    p = random_elem(lv, rng).coeffs
+    with pytest.raises(NotAUnit, match=rf"^norm is {2**lv.degree}, not \+-1$"):
+        cyclotomic._divide(p, CycInt.from_int(lv, 2).coeffs)
+    with pytest.raises(NotAUnit, match=r"^norm is 2, not \+-1$"):
+        cyclotomic._divide(p, (CycInt.one(lv) - CycInt.monomial(lv, 1)).coeffs)
+
+
 @pytest.mark.parametrize("n", [11, 12])
 def test_non_unit_with_a_long_norm_names_its_bit_length(n):
     # the norm of 2^10 is 2^(10m), over 8192 bits at m = 1024 and 2048; at

@@ -1,13 +1,15 @@
 """Frozen exact outputs: SHA-256 digests of exact-ring results.
 
 These cover the exact kernels (Z[alpha] products and squares, the norm
-descent, unit inversion and group-ring products) through `unit` and
+descent, division by a unit and group-ring products) through `unit` and
 `tables` stdout, the v1 generator images at n = 7 and one n = 10
 group-ring product of two u_chi1 images.  A change to how those kernels
 compute must leave these bytes alone.  The `identities` digests at n = 9
 and 12 were recorded while those reports still took exact powers,
 products and Galois images in Z[alpha]; the parity-ring reports must
-print the same bytes.
+print the same bytes.  The two mixed-sign n = 10 unit words were recorded
+while a word's value was still its positive part times the inverse of its
+negative part, each d_j power computed on its own.
 """
 
 import hashlib
@@ -28,6 +30,28 @@ CLI_DIGESTS = [
         ("unit", "--n", "10", "--word", "d1^-256 * d3^256"),
         0,
         "a09402d1663e9301706724b9b55e2c1ba1e3578fccd3fa36d60d6a2e9d8aa380",
+    ),
+    (
+        (
+            "unit",
+            "--n",
+            "10",
+            "--word",
+            "d37 * d475^-1 * d65^4 * d191^-4 * d15^-16 * d17^16",
+        ),
+        0,
+        "a4ffa9a5939706427ec48742f03bedf4da10f39bb6b1bfd7d7b443046571ff5e",
+    ),
+    (
+        (
+            "unit",
+            "--n",
+            "10",
+            "--word",
+            "a^512 * d7^32 * d25^-32 * d45^-4 * d83^4 * d217^-2 * d295^2",
+        ),
+        0,
+        "67b5a880e3f6d09f43b5e66d36b8057b6eb29818d7b05280e431dac5dfb65859",
     ),
     (
         ("identities", "--n", "9"),
