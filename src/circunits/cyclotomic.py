@@ -4,17 +4,23 @@ Elements are dense integer coefficient vectors of length 2^(n-1), reduced
 eagerly by the minimal-polynomial rule alpha^(2^(n-1)) = -1.  All arithmetic
 is over arbitrary-precision integers; nothing here ever rounds.
 
-Products use the ring's structure where it halves the work.  A square
-packs its operand once, so the big-integer multiply is a squaring.  The
-norm and division by a unit descend the subfield tower Q < Q(i) < ... <
-Q(alpha), all of whose steps are quadratic, by two half-length squares:
-with x = E(alpha^2) + alpha * O(alpha^2) and beta = alpha^2,
+Products use the ring's structure where it halves the work.  A dense
+product is taken by two-point Kronecker substitution (D. Harvey, J.
+Symbolic Comput. 44, 2009): each operand is packed as two integers, its
+values at t = 2^b and t = -2^b, and two multiplies of half the size of a
+one-point substitution give the even and the odd coefficients of the
+product exactly.  A square packs its operand once, so both multiplies are
+squarings.  The norm and division by a unit descend the subfield tower
+Q < Q(i) < ... < Q(alpha), all of whose steps are quadratic: with
+x = E(alpha^2) + alpha * O(alpha^2) and beta = alpha^2,
 
     x(alpha) * x(-alpha) = E(beta)^2 - beta * O(beta)^2,
 
-an element of Z[beta], the ring one level down, and at length 1 of Z.  So
-p/x = p * x(-alpha) * z with z the inverse of that element one level down;
-the inverse is the case p = 1.
+an element of Z[beta], the ring one level down, and at length 1 of Z.  For
+a dense x the same identity at alpha = 2^b makes that one big-integer
+product, x(2^b) * x(-2^b); a sparse x takes two half-length squares.  So
+p/x = p * x(-alpha) * z with z the inverse of x(alpha) * x(-alpha) one
+level down; the inverse is the case p = 1.
 """
 
 from __future__ import annotations
@@ -58,7 +64,7 @@ def _wrapped(x: Sequence[int], y: Sequence[int], sign: int) -> list[int]:
     Z[alpha] wraps by t^m = -1 (sign -1), the group ring by t^m = 1.
 
     With nx and ny nonzero entries, dense operands (nx * ny >= 8 * m) go
-    through one big-integer multiply (_kronecker); otherwise a double loop
+    through Kronecker substitution (_kronecker); otherwise a double loop
     pairs the nonzero terms of y with the nonzeros of x, so a sparse
     operand, such as d_j with its three terms, is cheap in either position.
     """
@@ -79,21 +85,41 @@ def _wrapped(x: Sequence[int], y: Sequence[int], sign: int) -> list[int]:
 def _kronecker(
     x: Sequence[int], y: Sequence[int], overlap: int, sign: int
 ) -> list[int]:
-    """_wrapped by Kronecker substitution, where no wrapped coefficient
-    sums more than overlap products.
+    """_wrapped by two-point Kronecker substitution (D. Harvey, "Faster
+    polynomial multiplication via multipoint Kronecker substitution",
+    J. Symbolic Comput. 44, 2009) for vectors of even length, where no
+    wrapped coefficient sums more than overlap products.
 
-    Each vector is packed into one integer with a slot of B bytes per
-    coefficient and the two integers are multiplied once; a square (y is
-    x) packs once and squares that integer.  Slots are written and read
-    through a bias of h = 2^(8B-1), so each holds a nonnegative value and
-    no borrow crosses a slot.  The product plus h in each of its low m
-    slots splits there into lo + 2^(8Bm) * hi, and lo + sign * hi wraps
-    it in one big-integer add (the wrap of Schoenhage-Strassen), so only
-    m slots are read back.  With 8B - 1 >= bits(max|x|) + bits(max|y|) +
-    bitlen(overlap), every coefficient, wrapped or not, obeys
-    |sum a_i * b_j| < 2^(8B-1) = h.
+    With slots of B bytes and b = 4B bits, half a slot, each vector is
+    packed at t = 2^b and t = -2^b (_pack), and P = x * y is taken at both
+    points by two products of integers half as long as one slot per
+    coefficient would need; under Karatsuba two such products cost about
+    0.6 of one full one.  A square (y is x) packs once and squares both.
+    Splitting P by exponent parity, P(+-2^b) = Pe(2^(2b)) +- 2^b * Po(2^(2b)),
+    so (P(2^b) + P(-2^b))/2 is Pe and (P(2^b) - P(-2^b))/2^(b+1) is Po, both
+    exact shifts, each with one coefficient per slot of 2b bits.  With
+    8B - 1 >= bits(max|x|) + bits(max|y|) + bitlen(overlap), every
+    coefficient of Pe and Po, wrapped or not, obeys
+    |sum a_i * b_j| < 2^(8B-1), so _unpack reads each from its slot.
     """
-    m = len(x)
+    width, biases = _slots(x, y, overlap)
+    xp, xn = _pack(x, width, biases)
+    yp, yn = (xp, xn) if y is x else _pack(y, width, biases)
+    p, q = xp * yp, xn * yn
+    return _unpack([(p + q) >> 1, (p - q) >> (4 * width + 1)], width, biases, sign)
+
+
+def _kronecker_halve(c: Sequence[int], overlap: int) -> list[int]:
+    """_halve in one product c(2^b) * c(-2^b), where no coefficient of
+    E^2 - beta * O^2 sums more than overlap products (see _halve)."""
+    width, biases = _slots(c, c, overlap)
+    xp, xn = _pack(c, width, biases)
+    return _unpack([xp * xn], width, biases, -1)
+
+
+def _slots(x: Sequence[int], y: Sequence[int], overlap: int) -> tuple[int, int]:
+    """The slot width B in bytes for x * y (see _kronecker) and the integer
+    holding the bias h = 2^(8B-1) in each of len(x)/2 slots."""
     width = (
         max(map(abs, x)).bit_length()
         + max(map(abs, y)).bit_length()
@@ -101,21 +127,53 @@ def _kronecker(
         + 8
     ) // 8
     bias = 1 << (8 * width - 1)
-    biases = int.from_bytes(bias.to_bytes(width, "little") * m, "little")
-    split = 8 * width * m
+    biases = int.from_bytes(bias.to_bytes(width, "little") * (len(x) // 2), "little")
+    return width, biases
 
-    def pack(v: Sequence[int]) -> int:
-        biased = b"".join([(c + bias).to_bytes(width, "little") for c in v])
-        return int.from_bytes(biased, "little") - biases
 
-    px = pack(x)
-    product = (px * px if y is x else px * pack(y)) + biases
-    wrapped = (product & ((1 << split) - 1)) + sign * (product >> split)
-    raw = wrapped.to_bytes(m * width, "little")
-    return [
+def _pack(v: Sequence[int], width: int, biases: int) -> tuple[int, int]:
+    """v(2^b) and v(-2^b), b = 4 * width, for v of even length.
+
+    The even and the odd coefficients, E and O, are written in one join, E
+    first, in slots of width bytes through the bias h, so each slot holds a
+    nonnegative value and no borrow crosses a slot; subtracting biases from
+    each half gives E(beta) and O(beta) at beta = 2^(2b), and
+    v(+-2^b) = E(beta) +- 2^b * O(beta).
+    """
+    bias = 1 << (8 * width - 1)
+    raw = b"".join([(c + bias).to_bytes(width, "little") for c in v[0::2] + v[1::2]])
+    cut = len(raw) // 2
+    even = int.from_bytes(raw[:cut], "little") - biases
+    odd = (int.from_bytes(raw[cut:], "little") - biases) << (4 * width)
+    return even + odd, even - odd
+
+
+def _unpack(parts: list[int], width: int, biases: int, sign: int) -> list[int]:
+    """Each part holds up to 2k coefficients in slots of width bytes, k the
+    slots of biases; wrapped by s^k = sign, the k coefficients of every part
+    are read back in one pass, the parts' coefficients interleaved.
+
+    A part plus h in each of its low k slots splits there into
+    lo + 2^(8 * width * k) * hi, and lo + sign * hi wraps it in one
+    big-integer add (the wrap of Schoenhage-Strassen).
+    """
+    bias = 1 << (8 * width - 1)
+    split = biases.bit_length()  # h fills the top bit of the top slot
+    low = (1 << split) - 1
+    chunks = []
+    for part in parts:
+        part += biases
+        wrapped = (part & low) + sign * (part >> split)
+        chunks.append(wrapped.to_bytes(split // 8, "little"))
+    raw = b"".join(chunks)
+    values = [
         int.from_bytes(raw[k : k + width], "little") - bias
-        for k in range(0, m * width, width)
+        for k in range(0, len(raw), width)
     ]
+    if len(parts) == 2:
+        k = len(values) // 2
+        values[0::2], values[1::2] = values[:k], values[k:]
+    return values
 
 
 def _halve(c: Sequence[int]) -> list[int]:
@@ -125,7 +183,21 @@ def _halve(c: Sequence[int]) -> list[int]:
     beta = alpha^2, so splitting x = E(beta) + alpha * O(beta) by exponent
     parity, the product E(beta)^2 - beta * O(beta)^2 is returned as len(c)/2
     coefficients in powers of beta, where beta^(len(c)/2) = -1.
+
+    With nx nonzero coefficients, a dense x (nx * nx >= 8 * len(c),
+    _wrapped's rule for x times x(-alpha)) takes one big-integer product
+    (_kronecker_halve): the same identity at alpha = 2^b, b = 4B bits, is
+    x(2^b) * x(-2^b) = E(2^(2b))^2 - 2^(2b) * O(2^(2b))^2, two-point
+    Kronecker substitution (Harvey 2009, see _kronecker) with one
+    coefficient per slot of 2b bits.  Each coefficient, wrapped or not,
+    sums at most nonzeros(E) + nonzeros(O) = nx products, so _kronecker's
+    width bound with overlap nx keeps every slot exact.  A sparse x takes
+    two half-length squares, E^2 and O^2.
     """
+    m = len(c)
+    nx = m - c.count(0)
+    if nx * nx >= 8 * m:
+        return _kronecker_halve(c, nx)
     even, odd = c[0::2], c[1::2]
     e2 = _wrapped(even, even, -1)
     o2 = _wrapped(odd, odd, -1)

@@ -296,32 +296,91 @@ def test_convolve_against_double_loop(monkeypatch, m):
                     assert calls == [min(nx, ny)] * 2 * dense_pair
 
 
-def test_kronecker_square_packs_once():
+def test_kronecker_square_packs_once(monkeypatch):
     """_kronecker(x, x, ...) squares: same result as _kronecker(x, list(x),
-    ...), with one call of its packing helper instead of two."""
+    ...), with one call of its packing helper _pack instead of two."""
     packs = []
 
-    def profile(frame, event, arg):
-        if event == "call" and frame.f_code is pack_code:
-            packs.append(event)
+    def spy(v, width, biases):
+        packs.append(v)
+        return pack(v, width, biases)
 
-    pack_code = next(
-        c for c in cyclotomic._kronecker.__code__.co_consts
-        if getattr(c, "co_name", None) == "pack"
-    )
+    pack = cyclotomic._pack
+    monkeypatch.setattr(cyclotomic, "_pack", spy)
     rng = random.Random(5)
     for m in (4, 64, 512):
         x = kernel_vector(m, m, "mixed", 300, rng)
         for sign in (1, -1):
-            for y, calls in ((x, 1), (list(x), 2)):
+            for y in (x, list(x)):
                 packs.clear()
-                sys.setprofile(profile)
-                try:
-                    got = cyclotomic._kronecker(x, y, m, sign)
-                finally:
-                    sys.setprofile(None)
+                got = cyclotomic._kronecker(x, y, m, sign)
                 assert got == ref_wrapped(x, x, sign)
-                assert len(packs) == calls
+                assert [id(v) for v in packs] == ([id(x)] if y is x else [id(x), id(y)])
+
+
+def two_point_vectors(m: int, bits: int) -> dict:
+    """Vectors of length m with entries of bits bits: all 2^bits - 1, all
+    -(2^bits - 1), alternating signs (either phase), nonzero only at even
+    or only at odd positions, and a seeded mixed one."""
+    top = (1 << bits) - 1
+    rng = random.Random(m * 1000 + bits)
+    return {
+        "high": [top] * m,
+        "neg": [-top] * m,
+        "alt": [-top if i & 1 else top for i in range(m)],
+        "alt_odd": [top if i & 1 else -top for i in range(m)],
+        "even": [0 if i & 1 else top for i in range(m)],
+        "odd": [-top if i & 1 else 0 for i in range(m)],
+        "mixed": [rng.choice((-1, 1)) * rng.randint(0, top) for _ in range(m)],
+    }
+
+
+# (kind of x, kind of y): pairs where a coefficient sums m products of the
+# largest magnitude, (2^bx - 1) * (2^by - 1) (the constant and the
+# alternating pairs, for one wrap sign or the other), mixed pairs, and
+# pairs of even- or odd-only vectors, whose products are even- or odd-only.
+TWO_POINT_PAIRS = [
+    ("high", "high"),
+    ("high", "neg"),
+    ("alt", "alt"),
+    ("alt", "alt_odd"),
+    ("alt", "high"),
+    ("even", "odd"),
+    ("even", "even"),
+    ("odd", "odd"),
+    ("odd", "mixed"),
+    ("mixed", "mixed"),
+]
+
+
+def bound_bits(m: int, bits: int) -> int:
+    """The least b >= bits with 2b + bitlen(m) = 7 or 6 mod 8 (7 when
+    bitlen(m) is odd): the slot _kronecker's width formula gives a square
+    of b-bit entries at overlap m is as narrow as that formula allows."""
+    while (2 * bits + m.bit_length()) % 8 not in (7, 6):
+        bits += 1
+    return bits
+
+
+@pytest.mark.parametrize("m", [1 << k for k in range(3, 12)])
+def test_two_point_kernel_at_the_width_bound(m):
+    """_kronecker at overlap m against the double loop, for both wrap signs,
+    products and squares.  At bits(x) + bits(y) + bitlen(m) = 7 mod 8 the
+    width formula leaves no spare byte: m products of (2^bx - 1) *
+    (2^by - 1) overflow a slot one byte narrower.  At 0 mod 8 it leaves the
+    most.  Beyond m = 256 one width and two pairs run (the oracle's cost
+    grows as m^2): one where a coefficient sums m products of the largest
+    magnitude, and the even-only times the odd-only."""
+    pairs = TWO_POINT_PAIRS if m <= 256 else [("high", "neg"), ("even", "odd")]
+    for bits, r in ((9, 7), (30, 0), (64, 7)) if m <= 256 else ((30, 7),):
+        y_bits = bits + (r - 2 * bits - m.bit_length()) % 8
+        xs, ys = two_point_vectors(m, bits), two_point_vectors(m, y_bits)
+        for kx, ky in pairs:
+            for x, y in ((xs[kx], ys[ky]), (xs[kx], xs[kx])):
+                full = ref_linear(x, y)
+                for sign in (1, -1):
+                    expected = [full[k] + sign * full[k + m] for k in range(m)]
+                    assert cyclotomic._kronecker(x, y, m, sign) == expected
 
 
 @pytest.mark.parametrize("n", range(3, 13))
@@ -538,6 +597,27 @@ def halving_against_galois_route(x: CycInt) -> int:
         assert c_next == galois_halving(c)
         c = c_next
     return c[0]
+
+
+@pytest.mark.parametrize("m", [1 << k for k in range(1, 12)])
+def test_one_product_halving_against_galois_route(m):
+    """_kronecker_halve at overlap m, and _halve, against the two
+    half-length squares of the double loop and, up to m = 256, against
+    galois_halving, on the two_point_vectors kinds at bound_bits widths.
+    Beyond m = 256 one width and three kinds run (the oracle's cost)."""
+    small = m <= 256
+    for bits in (9, 64) if small else (30,):
+        vectors = two_point_vectors(m, bound_bits(m, bits))
+        for kind in vectors if small else ("high", "alt", "odd"):
+            c = vectors[kind]
+            even, odd = c[0::2], c[1::2]
+            e2 = ref_wrapped(even, even, -1)
+            o2 = ref_wrapped(odd, odd, -1)
+            expected = [e2[0] + o2[-1]] + [a - b for a, b in zip(e2[1:], o2)]
+            assert cyclotomic._kronecker_halve(c, m) == expected
+            assert cyclotomic._halve(c) == expected
+            if small:
+                assert galois_halving(c) == expected
 
 
 def conjugate_route(x: CycInt) -> CycInt:
