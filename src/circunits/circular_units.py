@@ -112,7 +112,7 @@ class UnitWord:
         }
 
 
-_WORD_TOKEN = re.compile(r"^(?:(a)|d(\d+))(?:\^(-?\d+))?$")
+_WORD_TOKEN = re.compile(r"(?:(a)|d([0-9]+))(?:\^(-?[0-9]+))?")
 
 
 def parse_word(level: Level, text: str) -> UnitWord:
@@ -123,7 +123,7 @@ def parse_word(level: Level, text: str) -> UnitWord:
     alpha_exp = 0
     exps: dict[int, int] = {}
     for token in squeezed.split("*"):
-        match = _WORD_TOKEN.match(token)
+        match = _WORD_TOKEN.fullmatch(token)
         if match is None:
             raise ValueError(f"cannot parse word factor {token!r}")
         exponent = int(match.group(3)) if match.group(3) else 1

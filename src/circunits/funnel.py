@@ -3,9 +3,10 @@
 The index set A = {1, 3, ..., 2^(n-1)-3} is cut down by repeated halving:
 A_k collects the odd indices below 2^(n-2-k).  Each step pairs an index j
 with its mirror 2^(n-1-k)-j through the two-generator word
-q(k, j) = d_j^(-1) d_{2^(n-1-k)-j}.  The subgroup F is generated by
-d_1^{2^(n-2)}, the q(0, .), and the q(k, .)^{2^k}; the coset generators of
-sqrt(F)/F halve those exponents.
+q(k, j) = d_j^(-1) d_{2^(n-1-k)-j}.  The coset generators of sqrt(F)/F
+are d_1^{2^(n-3)} and the q(k, .)^{2^(k-1)} for k >= 1.  The subgroup F is
+generated by their squares and the q(0, .); its list is built from the
+coset generators when it is read.
 """
 
 from __future__ import annotations
@@ -81,55 +82,44 @@ class LabeledWord:
 
 @dataclass(frozen=True, slots=True)
 class GeneratorSystem:
-    """Generators of F and coset generators of sqrt(F)/F, in fixed order.
+    """Coset generators of sqrt(F)/F in fixed order, and the generators of F.
 
     Ordering: the d_1 head power first, then the q(k, .) blocks with k
-    descending and j ascending inside each block.
+    descending and j ascending inside each block.  F is generated by the
+    squares of the coset generators, in the same order, and the q(0, .);
+    f_gens builds that list each time it is read.
     """
 
     level: Level
-    f_gens: tuple[LabeledWord, ...]
     sqrt_gens: tuple[LabeledWord, ...]
 
-
-def _head(level: Level, exponent: int) -> LabeledWord:
-    return LabeledWord(
-        label=f"d_1^{exponent}",
-        k=None,
-        j=1,
-        exponent=exponent,
-        word=UnitWord.make(level, 0, {1: exponent}),
-    )
+    @property
+    def f_gens(self) -> tuple[LabeledWord, ...]:
+        level = self.level
+        squares = [_labeled(level, w.k, w.j, 2 * w.exponent) for w in self.sqrt_gens]
+        q0 = [_labeled(level, 0, j, 1) for j in build_partition(level).A_sets[0][1:]]
+        return tuple(squares + q0)
 
 
-def _q_block(partition: FunnelPartition, k: int, exponent: int) -> list[LabeledWord]:
-    level = partition.level
-    indices = partition.A_sets[k] if k >= 1 else partition.A_sets[0][1:]
-    out = []
-    for j in indices:
-        word = q_word(level, k, j) ** exponent
+def _labeled(level: Level, k: int | None, j: int, exponent: int) -> LabeledWord:
+    """d_1^exponent when k is None, otherwise q(k, j)^exponent."""
+    if k is None:
+        label, word = f"d_1^{exponent}", UnitWord.make(level, 0, {1: exponent})
+    else:
         suffix = "" if exponent == 1 else f"^{exponent}"
-        out.append(
-            LabeledWord(
-                label=f"q({k},{j}){suffix}",
-                k=k,
-                j=j,
-                exponent=exponent,
-                word=word,
-            )
-        )
-    return out
+        label, word = f"q({k},{j}){suffix}", q_word(level, k, j) ** exponent
+    return LabeledWord(label, k, j, exponent, word)
 
 
 def generator_system(level: Level) -> GeneratorSystem:
-    """Both generator lists; 2^(n-2)-1 for F and 2^(n-3) for sqrt(F)/F."""
+    """The 2^(n-3) coset generators of sqrt(F)/F; F's 2^(n-2)-1 generators
+    are derived from them when f_gens is read."""
     n = level.n
-    partition = build_partition(level)
-    f_gens: list[LabeledWord] = [_head(level, 1 << (n - 2))]
-    for k in range(n - 3, 0, -1):
-        f_gens.extend(_q_block(partition, k, 1 << k))
-    f_gens.extend(_q_block(partition, 0, 1))
-    sqrt_gens: list[LabeledWord] = [_head(level, 1 << (n - 3))]
-    for k in range(n - 3, 0, -1):
-        sqrt_gens.extend(_q_block(partition, k, 1 << (k - 1)))
-    return GeneratorSystem(level, tuple(f_gens), tuple(sqrt_gens))
+    a_sets = build_partition(level).A_sets
+    head = _labeled(level, None, 1, 1 << (n - 3))
+    blocks = [
+        _labeled(level, k, j, 1 << (k - 1))
+        for k in range(n - 3, 0, -1)
+        for j in a_sets[k]
+    ]
+    return GeneratorSystem(level, (head, *blocks))

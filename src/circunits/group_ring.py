@@ -59,8 +59,11 @@ class GroupRingElt:
 
         With value = alpha^k (k = j, or j + 2^(n-1) for -alpha^j), the
         image is sum c_i alpha^(i*k).  Any other value raises ValueError:
-        x has order 2^n, so only roots of unity give a homomorphism.
+        x has order 2^n, so only roots of unity give a homomorphism.  A
+        value from another level raises LevelMismatch: its order is not 2^n.
         """
+        if value.level != self.level:
+            raise LevelMismatch(f"levels differ: n={self.level.n} vs n={value.level.n}")
         support = [(j, c) for j, c in enumerate(value.coeffs) if c]
         if len(support) != 1 or support[0][1] not in (1, -1):
             raise ValueError("character value must be a root of unity +-alpha^j")

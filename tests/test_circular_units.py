@@ -366,6 +366,9 @@ SYNTAX_BREAKS = (
     lambda text: "d^3 * " + text,
     lambda text: text + " * d-1",
     lambda text: text + " * b2",
+    lambda text: text + "\n",
+    lambda text: text + " * d\u0661",
+    lambda text: text + " * d1^\uff12",
 )
 
 

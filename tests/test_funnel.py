@@ -17,9 +17,12 @@ from circunits import (
     UnitWord,
     build_partition,
     d_index_set,
+    galois_transport_check,
     generator_system,
     q_word,
+    verify_main_theorem,
 )
+from circunits import funnel
 
 
 def expected_index(n: int) -> int:
@@ -175,6 +178,25 @@ def test_sqrt_gens_halve_f_exponents():
         mate = f_by_key[(lw.k, lw.j)]
         assert mate.exponent == 2 * lw.exponent
         assert lw.word * lw.word == mate.word
+
+
+@pytest.mark.parametrize("n", range(5, 10))
+def test_verifier_builds_no_f_word(n, monkeypatch):
+    """The verifier and the transport read only the coset generators: one q
+    word for each past the d_1 head, and no q(0, .) word of F."""
+    real = funnel.q_word
+    steps = []
+
+    def spy(level, k, j):
+        steps.append(k)
+        return real(level, k, j)
+
+    monkeypatch.setattr(funnel, "q_word", spy)
+    for check in (verify_main_theorem, galois_transport_check):
+        steps.clear()
+        check(Level(n))
+        assert len(steps) == (1 << (n - 3)) - 1
+        assert 0 not in steps
 
 
 def test_generator_system_needs_level_four():

@@ -9,7 +9,9 @@ and 12 were recorded while those reports still took exact powers,
 products and Galois images in Z[alpha]; the parity-ring reports must
 print the same bytes.  The two mixed-sign n = 10 unit words were recorded
 while a word's value was still its positive part times the inverse of its
-negative part, each d_j power computed on its own.
+negative part, each d_j power computed on its own.  The `funnel` digests
+at n = 4..12 were recorded while F's generators were still built apart
+from the coset generators of sqrt(F)/F.
 """
 
 import hashlib
@@ -20,6 +22,18 @@ import pytest
 from circunits import Level, eval_word, gr_mul, parse_word, u_chi1, v1_generators
 from circunits.cli import main
 
+# funnel --n 4..12 stdout: both generator lists, their labels and words.
+FUNNEL_DIGESTS = {
+    4: "be7787db40435c1f37fc185b2b74ea5f407d075f9c1d9272819a2db797705e31",
+    5: "b3ccb3b6af821860b1111731fb5267a33b5c17b692bafdf00d4b7f3d75700de5",
+    6: "5d13d6d7363e43518eac176dd7c80154bc3416751337a02db729df5265eb0992",
+    7: "ae402efcfc544ab2e2edee47d198e36fb0d9133f146801f5e6eeea07311a967f",
+    8: "569846fa401ed5d2b988cf9ff06bf84a87ee62d504590385aeb9832e397f7d9a",
+    9: "a8e24d1664423ca5133107260cd6a26ffbada68e07b47b65de7f728277199d1e",
+    10: "353e286b883c67fa0312c37cce7f8b8f126c8f24d980403ac54239b2d822794a",
+    11: "adf122b4bc19633424cf9489724568ca5d7490946e8940a9672a0cbf1b712786",
+    12: "898e931dd892ac9fd17f397792359fab8e5cfb46835518e383fd0712a096c2f7",
+}
 CLI_DIGESTS = [
     (
         ("unit", "--n", "9", "--word", "d1^-64 * d3^8 * d61^-8"),
@@ -68,6 +82,7 @@ CLI_DIGESTS = [
         0,
         "67e8d02bf546ef9ca6948f43d08ae1ca379642872d37f81c49d90f987842c6bd",
     ),
+    *[(("funnel", "--n", str(n)), 0, d) for n, d in FUNNEL_DIGESTS.items()],
 ]
 V1_DIGEST_N7 = "ec45814cd890905bd94efeac7c850e398240bb9f5a06cf7cac65ea4433cb7a63"
 GR_MUL_DIGEST_N10 = "0625d1d2d975d57a82081256a117a285900d301ade88f6a817cbe24b5d2b8aa2"

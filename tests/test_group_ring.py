@@ -287,6 +287,16 @@ def test_apply_character_rejects_non_roots():
             u.apply_character(value)
 
 
+def test_apply_character_rejects_other_levels():
+    """x -> alpha_32 at n = 4 sends x^16 = 1 to alpha_32^16 = -1."""
+    u = GroupRingElt.x_power(Level(4), 16)
+    assert u == GroupRingElt.identity(Level(4))
+    with pytest.raises(LevelMismatch):
+        u.apply_character(CycInt.monomial(Level(5), 1))
+    with pytest.raises(LevelMismatch):
+        GroupRingElt.x_power(Level(5), 3).apply_character(CycInt.monomial(Level(4), 1))
+
+
 # ---------------------------------------------------------------------- #
 # the construction on pinned inputs
 
