@@ -69,14 +69,22 @@ def _open_json(path: str | None) -> Iterator[TextIO]:
         yield sys.stdout
         return
     try:
-        with open(path, "w", encoding="utf-8") as out:
-            yield out
+        out = open(path, "w", encoding="utf-8")
     except OSError as exc:
         raise _UsageError(f"cannot write {path}: {exc.strerror or exc}") from None
+    with out:
+        yield out
 
 
 def _dump(document, out: TextIO) -> None:
-    print(json.dumps(document, indent=2), file=out)
+    """Write one JSON document; a --json target is closed here, so errors name it."""
+    try:
+        print(json.dumps(document, indent=2), file=out)
+        if out is not sys.stdout:
+            out.close()
+    except OSError as exc:
+        name = "stdout" if out is sys.stdout else out.name
+        raise _UsageError(f"cannot write {name}: {exc.strerror or exc}") from None
 
 
 def _level_arg(n: int) -> Level:
@@ -127,10 +135,7 @@ def _cmd_tables(args: argparse.Namespace, out: TextIO) -> int:
     print(f"r_j mod 2 at 2^{level.n} = {level.order}, j = 0..{len(r_tokens) - 1}:")
     print(" ".join(r_tokens))
     if args.json is not None:
-        _dump(
-            {"n": level.n, "s_table": s_tokens, "r_table": r_tokens},
-            out,
-        )
+        _dump({"n": level.n, "s_table": s_tokens, "r_table": r_tokens}, out)
     return 0
 
 
@@ -244,9 +249,7 @@ def _cmd_identities(args: argparse.Namespace, out: TextIO) -> int:
                 status = "PASS" if t["passed"] else "FAIL"
                 print(f"[n={n}] {status} transport {t['label']}: {t['value']}")
             ok = ok and transport_report["all_passed"]
-        reports.append(
-            {"n": n, "q_power": power_report, "transport": transport_report}
-        )
+        reports.append({"n": n, "q_power": power_report, "transport": transport_report})
     if args.json is not None:
         _dump(reports if len(reports) > 1 else reports[0], out)
     return 0 if ok else 2
@@ -304,8 +307,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 1
     try:
         with _open_json(args.json) as out:
-            return args.func(args, out)
-    except (_UsageError, LevelTooSmall) as exc:
+            code = args.func(args, out)
+        sys.stdout.flush()
+        return code
+    except (_UsageError, LevelTooSmall, OSError) as exc:
+        if isinstance(exc, OSError):  # a text line or the flush to stdout
+            exc = f"cannot write stdout: {exc.strerror or exc}"
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except (DisagreementError, InternalInconsistency) as exc:

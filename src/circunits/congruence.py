@@ -267,11 +267,9 @@ def galois_transport_check(level: Level) -> dict:
 
 @dataclass(frozen=True, slots=True)
 class F2System:
-    """Linearized membership system: rows are non-constant B-coordinates,
-    columns the coset-generator exponents."""
+    """Rank and nullity of the linearized membership system, whose columns
+    are the coset-generator classes without their constant term."""
 
-    row_labels: tuple[str, ...]
-    rows: tuple[int, ...]
     rank: int
     nullity: int
 
@@ -281,7 +279,9 @@ class Certificate:
     """Replayable record of one main-theorem verification run.
 
     The JSON form states each fact once: a class by its coords_hex, and the
-    odd-r block by its rows_hex.  rows_bits is kept in memory only.
+    odd-r block by its rows_hex.  rows_bits is kept in memory only.  The
+    proof ranks the class columns; matrix_rows_hex, their transpose into
+    the rows of the GF(2) system, is rendered here for the document.
     """
 
     level: Level
@@ -296,20 +296,21 @@ class Certificate:
     elapsed_ms: float
 
     def to_json_dict(self, include_timing: bool = False) -> dict:
+        n = self.level.n
         g = len(self.generators)
         width = max(1, (g + 3) // 4)
+        # row p - 1 is B-position p; position 0, the constant 1, is dropped
+        rows = _transpose([c.mask for c in self.generators], 1 << (n - 2))[1:]
         data: dict = {
-            "n": self.level.n,
+            "n": n,
             "tool_version": TOOL_VERSION,
             "method": self.method,
             "generators": [
                 {"label": label, "coords_hex": coords.coords_hex()}
                 for label, coords in zip(self.generator_labels, self.generators)
             ],
-            "row_labels": list(self.system.row_labels),
-            "matrix_rows_hex": [
-                format(row, f"0{width}x") for row in self.system.rows
-            ],
+            "row_labels": list(_position_labels(n)[1:]),
+            "matrix_rows_hex": [format(row, f"0{width}x") for row in rows],
             "rank": self.system.rank,
             "nullity": self.system.nullity,
             "verdict": "trivial_only" if self.trivial_only else "kernel_nontrivial",
@@ -420,21 +421,14 @@ def verify_main_theorem(level: Level) -> Certificate:
         classes.append(coords)
         masks.append(mask)
 
-    # row p - 1 is B-position p; position 0, the constant 1, is dropped
-    labels = _position_labels(n)
-    rows = _transpose([c.mask for c in classes], 1 << (n - 2))[1:]
-    rank = gf2_rank(rows)
-    f2 = F2System(
-        row_labels=labels[1:],
-        rows=tuple(rows),
-        rank=rank,
-        nullity=g - rank,
-    )
+    # column i is the class of generator i without position 0, the constant 1
+    columns = [c.mask >> 1 for c in classes]
+    rank = gf2_rank(columns)
+    f2 = F2System(rank=rank, nullity=g - rank)
 
     walked = min(g, WALK_GENERATORS)
     exhaustive_assignments, kernel_size = _exhaustive_kernel(masks[:walked], m)
-    walked_cols = (1 << walked) - 1
-    walk_nullity = walked - gf2_rank([r & walked_cols for r in rows])
+    walk_nullity = walked - gf2_rank(columns[:walked])
     if kernel_size != (1 << walk_nullity):
         raise DisagreementError(
             f"exhaustive kernel has {kernel_size} elements, linearized "
@@ -445,17 +439,15 @@ def verify_main_theorem(level: Level) -> Certificate:
     odd_r = None
     if n >= 5:
         quarter = 1 << (n - 3)
-        # generator_system puts the k = 1 block last, so its columns are
-        # the top bits of each row
         block = [i for i, lw in enumerate(gens) if lw.k == 1]
-        odd_r_positions = range(quarter + 1, 2 * quarter, 2)
-        sub_rows = [rows[p - 1] >> block[0] for p in odd_r_positions]
+        rows = _transpose([classes[i].mask for i in block], 2 * quarter)
+        sub_rows = rows[quarter + 1 :: 2]
         sub_rank = gf2_rank(sub_rows)
         sub_width = max(1, (len(block) + 3) // 4)
         odd_r = {
             "column_variables": [gens[i].label for i in block],
             "column_indices": block,
-            "row_labels": [labels[p] for p in odd_r_positions],
+            "row_labels": list(_position_labels(n)[quarter + 1 :: 2]),
             "rows_hex": [format(r, f"0{sub_width}x") for r in sub_rows],
             "rows_bits": [unpack_bits(r, len(block)) for r in sub_rows],
             "rank": sub_rank,

@@ -134,10 +134,11 @@ def u_chi1(beta: CycInt) -> GroupRingElt:
 
 
 def is_admissible(beta: CycInt) -> bool:
-    """True iff beta is a real unit congruent to 1 mod 2.
+    """For a unit beta, True iff it is real and congruent to 1 mod 2.
 
-    Units congruent to 1 mod 2 are automatically real, so this predicate
-    matches exactly the inputs on which u_chi1 succeeds.
+    A non-unit raises NotAUnit, as u_chi1 does.  Units congruent to 1 mod 2
+    are automatically real, so this predicate matches exactly the units on
+    which u_chi1 succeeds.
     """
     if not beta.known_unit:
         _require_unit(beta.norm())

@@ -341,6 +341,61 @@ def test_json_write_failure_is_a_usage_error(capsys, command):
     )
 
 
+class _BrokenStdout:
+    """A stdout whose every write fails, like a closed pipe."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+
+STDOUT_COMMANDS = [
+    ["verify", "--n", "4"],
+    ["tables", "--n", "5"],
+    ["tables", "--n", "5", "--json", "{json}"],
+    ["funnel", "--n", "5"],
+    ["unit", "--n", "4", "--word", "d1^4"],
+    ["unit", "--n", "4", "--word", "d1"],
+    ["identities", "--n", "5"],
+    ["identities", "--n", "5", "--json", "{json}"],
+]
+
+
+@pytest.mark.parametrize("argv", STDOUT_COMMANDS, ids=" ".join)
+def test_stdout_write_failure_is_a_usage_error(argv, tmp_path, monkeypatch, capsys):
+    # with --json the target opens and stays empty; the failure is stdout's
+    target = tmp_path / "out.json"
+    argv = [arg.format(json=target) for arg in argv]
+    monkeypatch.setattr(sys, "stdout", _BrokenStdout())
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.count("usage error") == 1
+    assert err.splitlines()[-1] == "usage error: cannot write stdout: Broken pipe"
+    if "--json" in argv:
+        assert target.read_text() == ""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_stdout_to_dev_full_exits_1_with_one_line():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    with open("/dev/full", "w") as full:
+        result = subprocess.run(
+            [sys.executable, "-m", "circunits", "tables", "--n", "5"],
+            stdout=full,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+    assert result.returncode == 1
+    assert result.stderr == (
+        "usage error: cannot write stdout: No space left on device\n"
+    )
+
+
 # ---------------------------------------------------------------------- #
 # plumbing
 

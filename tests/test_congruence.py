@@ -33,7 +33,7 @@ from circunits import (
 from circunits import congruence
 from circunits.cli import main
 from circunits.errors import IndexOutOfRange
-from circunits.gf2 import cyc_mul_f2, cyc_pow_f2, pack_bits
+from circunits.gf2 import cyc_mul_f2, cyc_pow_f2, gf2_rank, pack_bits
 
 
 def word(lv, exps, alpha=0):
@@ -437,10 +437,42 @@ def test_cli_failed_run_leaves_empty_json(monkeypatch, tmp_path, capsys):
 
 def test_verify_rows_encode_generator_coords():
     cert = verify_main_theorem(Level(5))
+    rows = [int(h, 16) for h in cert.to_json_dict()["matrix_rows_hex"]]
     for i, coords in enumerate(cert.generators):
         for p in range(1, 8):
-            bit = (cert.system.rows[p - 1] >> i) & 1
+            bit = (rows[p - 1] >> i) & 1
             assert bit == (coords.mask >> p) & 1
+
+
+@pytest.mark.parametrize("n", range(4, 13))
+def test_proof_columns_and_printed_rows_are_one_system(n, monkeypatch):
+    """The proof ranks the class columns and transposes only the k = 1
+    block; the certificate's rows, transposed from all columns, must give
+    the same rank and hold the odd-r block at the odd-r positions."""
+    transpose = congruence._transpose
+    calls = []
+
+    def spy(masks, width):
+        calls.append(len(masks))
+        return transpose(masks, width)
+
+    monkeypatch.setattr(congruence, "_transpose", spy)
+    cert = verify_main_theorem(Level(n))
+    assert calls == ([1 << (n - 4)] if n >= 5 else [])
+    data = cert.to_json_dict()
+    rows = [int(h, 16) for h in data["matrix_rows_hex"]]
+    assert gf2_rank(rows) == cert.system.rank
+    sub = cert.odd_r_subsystem
+    if sub is None:
+        return
+    # row p - 1 of the certificate is B-position p, so the odd r_t sit at
+    # rows 2^(n-3), 2^(n-3) + 2, ...
+    quarter = 1 << (n - 3)
+    assert data["row_labels"][quarter::2] == sub["row_labels"]
+    restricted = [
+        pack_bits(row >> i for i in sub["column_indices"]) for row in rows[quarter::2]
+    ]
+    assert [int(h, 16) for h in sub["rows_hex"]] == restricted
 
 
 # ---------------------------------------------------------------------- #
@@ -683,25 +715,23 @@ def test_exhaustive_kernel_products_go_through_cyc_mul_f2(monkeypatch):
     assert len(calls) == 16 + 2 * 255
 
 
-def _drop_last_row(monkeypatch):
-    # every nonzero row of the n = 6 system is needed for full rank, so the
-    # linearized route predicts a kernel the exhaustive count does not see
-    transpose = congruence._transpose
+def _lose_one_rank(monkeypatch):
+    # the linearized route, which runs after every class is checked, sees
+    # one rank too few and predicts a kernel the exhaustive count does not
+    def short(rows):
+        return gf2_rank(rows) - 1
 
-    def dropped(masks, width):
-        return transpose(masks, width)[:-1]
-
-    monkeypatch.setattr(congruence, "_transpose", dropped)
+    monkeypatch.setattr(congruence, "gf2_rank", short)
 
 
 def test_verify_detects_disagreeing_routes(monkeypatch):
-    _drop_last_row(monkeypatch)
+    _lose_one_rank(monkeypatch)
     with pytest.raises(DisagreementError, match="exhaustive kernel has 1 elements"):
         verify_main_theorem(Level(6))
 
 
 def test_cli_exits_3_on_disagreeing_routes(monkeypatch, capsys):
-    _drop_last_row(monkeypatch)
+    _lose_one_rank(monkeypatch)
     assert main(["verify", "--n", "6"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
