@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import sys
 from typing import Iterator, Sequence, TextIO
 
@@ -58,6 +59,12 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message: str) -> None:  # type: ignore[override]
         raise _UsageError(message)
+
+    def _print_message(self, message: str, file: TextIO | None = None) -> None:
+        # argparse drops an OSError here, so --help and --version would exit
+        # 0 having printed nothing; main reports it instead
+        if message:
+            (file or sys.stderr).write(message)
 
 
 @contextlib.contextmanager
@@ -298,21 +305,33 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _discard_stdout() -> None:
+    """Point the stdout descriptor at os.devnull.  A buffered stdout keeps the
+    text it failed to write, and flushing it again at exit would fail with
+    status 120 and an "Exception ignored" report."""
+    with contextlib.suppress(AttributeError, OSError):  # no descriptor
+        fd = sys.stdout.fileno()
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, fd)
+        os.close(null)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    try:
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit:  # --help or --version, printed to stdout
+            sys.stdout.flush()
+            raise
         with _open_json(args.json) as out:
             code = args.func(args, out)
         sys.stdout.flush()
         return code
     except (_UsageError, LevelTooSmall, OSError) as exc:
-        if isinstance(exc, OSError):  # a text line or the flush to stdout
+        if isinstance(exc, OSError):  # a text line, the help or the flush
             exc = f"cannot write stdout: {exc.strerror or exc}"
+            _discard_stdout()
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except (DisagreementError, InternalInconsistency) as exc:

@@ -357,12 +357,27 @@ def _square_zero_check(level: Level) -> None:
         )
 
 
-def _subset_products(masks: list[int], m: int) -> list[int]:
-    """The products of all 2^len(masks) subsets of masks in Z[alpha]/2."""
-    products = [1]
+def _subset_products(masks: list[int], m: int) -> list[bytes]:
+    """The products of all 2^len(masks) subsets of masks in Z[alpha]/2, as
+    little-endian byte strings of 2m bits (m a multiple of 4); entry k is
+    the product of the masks[i] with bit i set in k.
+
+    The products are formed packed in one int, product k in slot k of 2m
+    bits.  Each mask multiplies every product so far in one cyc_mul_f2
+    call, one shift per set bit of the mask, at the width of the whole
+    int: no raw product reaches it, so nothing wraps and each slot holds a
+    raw product of fewer than 2m bits.  One fold per slot reduces those mod
+    alpha^m = 1, and the results fill the next as many slots.
+    """
+    products, low, width = 1, (1 << m) - 1, 2 * m
     for mask in masks:
-        products += [cyc_mul_f2(mask, p, m) for p in products]
-    return products
+        raw = cyc_mul_f2(mask, products, width)
+        products |= ((raw ^ (raw >> m)) & low) << width
+        low |= low << width
+        width *= 2
+    size = m // 4
+    data = products.to_bytes(width // 8, "little")
+    return [data[i : i + size] for i in range(0, len(data), size)]
 
 
 def _exhaustive_kernel(masks: list[int], m: int) -> tuple[int, int]:

@@ -54,7 +54,8 @@ def gf2_rank(rows: list[int]) -> int:
 
 def cyc_mul_f2(a: int, b: int, m: int) -> int:
     """Product of two mod-2 classes packed as m-bit masks; the loop runs
-    over the set bits of a, so pass the sparser operand first."""
+    over the set bits of a, so pass the sparser operand first.  With m
+    past the raw product's degree nothing wraps (congruence._subset_products)."""
     acc = 0
     while a:
         low = a & -a

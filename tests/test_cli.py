@@ -396,6 +396,33 @@ def test_stdout_to_dev_full_exits_1_with_one_line():
     )
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize(
+    "argv",
+    [["--help"], ["--version"], ["verify", "--help"], ["tables", "--n", "5"]],
+    ids=" ".join,
+)
+def test_help_and_version_to_dev_full_exit_1_with_one_line(argv, buffered):
+    # argparse drops a failed write of its help and version text; a
+    # buffered stdout fails a second time at exit unless it is discarded
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONUNBUFFERED="" if buffered else "1")
+    with open("/dev/full", "w") as full:
+        result = subprocess.run(
+            [sys.executable, "-m", "circunits", *argv],
+            stdout=full,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+    assert result.returncode == 1
+    assert result.stderr == (
+        "usage error: cannot write stdout: No space left on device\n"
+    )
+
+
 # ---------------------------------------------------------------------- #
 # plumbing
 

@@ -697,22 +697,40 @@ def test_exhaustive_kernel_rejects_non_involutions():
             congruence._exhaustive_kernel([involution, bad], m)
 
 
-def test_exhaustive_kernel_products_go_through_cyc_mul_f2(monkeypatch):
-    # one involution check per mask plus 2^8 - 1 products per half
+@pytest.mark.parametrize("m", [4, 16, 64, 256, 2048])
+def test_subset_products_slots_are_products(m):
+    # slot k, of 2m bits, holds the product of the masks whose index is a
+    # set bit of k, folded with cyc_mul_f2 in index order; the fold for k
+    # extends the one for k without its top bit
+    rng = random.Random(200 + m)
+    for g in range(9):
+        involutions = _random_involutions(rng, g, m)
+        cases = [involutions]
+        if g >= 3:
+            cases.append(involutions[:-2] + [1, involutions[0]])
+        for masks in cases:
+            expected = [1]
+            for k in range(1, 1 << len(masks)):
+                top = k.bit_length() - 1
+                expected.append(cyc_mul_f2(masks[top], expected[k ^ 1 << top], m))
+            products = congruence._subset_products(masks, m)
+            assert [int.from_bytes(p, "little") for p in products] == expected
+            assert {len(p) for p in products} == {m // 4}
+
+
+def test_exhaustive_kernel_uses_neither_lemma_nor_rank(monkeypatch):
     lv = Level(8)
     masks = [
         congruence._word_parities(lw.word)
         for lw in generator_system(lv).sqrt_gens[: congruence.WALK_GENERATORS]
     ]
-    calls = []
 
-    def counting(a, b, width):
-        calls.append(width)
-        return cyc_mul_f2(a, b, width)
+    def forbidden(*args):
+        raise AssertionError("the exhaustive count used the linear route")
 
-    monkeypatch.setattr(congruence, "cyc_mul_f2", counting)
+    monkeypatch.setattr(congruence, "gf2_rank", forbidden)
+    monkeypatch.setattr(congruence, "_square_zero_check", forbidden)
     assert congruence._exhaustive_kernel(masks, lv.degree) == (1 << 16, 1)
-    assert len(calls) == 16 + 2 * 255
 
 
 def _lose_one_rank(monkeypatch):
