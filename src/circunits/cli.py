@@ -4,10 +4,10 @@ Subcommands: verify (main-theorem certificates), tables (mod-2 s/r tables),
 funnel (partition and generator systems), unit (group-ring gamma vector of
 a word), identities (congruence identity reports, computed in the parity
 ring Z[alpha]/2 with no exact arithmetic; about 0.2 s at n = 12).  verify
-proves its verdict at every level 4..12: it checks the square-zero lemma
-(each of s_{2^(n-3)}, r_1, ..., r_{2^(n-3)-1} is annihilated by
-(1 + alpha)^(m/2) mod 2, so every product of two of them is 0 mod 2),
-which makes the linearized GF(2) system exact.  unit decides a word mod 2
+proves its verdict at every level 4..12: it checks that each coset class
+minus 1 is annihilated by (1 + alpha)^(m/2) = 1 + alpha^(m/2) mod 2, so
+every product of two such differences is 0 mod 2, which makes the
+linearized GF(2) system exact.  unit decides a word mod 2
 before any exact arithmetic, and refuses an admitted word whose value may
 be too large to compute as a usage error.  All JSON output is
 deterministic; timing fields are zeroed unless --timing is given.
@@ -101,14 +101,9 @@ def _level_arg(n: int) -> Level:
         raise _UsageError(str(exc)) from None
 
 
-def _levels(n: int | None, needs: str) -> list[Level]:
+def _levels(n: int | None) -> list[Level]:
     """The level given by --n, or the default walk 4..7."""
-    if n is None:
-        return [Level(k) for k in DEFAULT_WALK]
-    level = _level_arg(n)
-    if level.n < 4:
-        raise _UsageError(f"{needs} n >= 4, got {level.n}")
-    return [level]
+    return [Level(k) for k in DEFAULT_WALK] if n is None else [_level_arg(n)]
 
 
 # ---------------------------------------------------------------------- #
@@ -118,7 +113,7 @@ def _levels(n: int | None, needs: str) -> list[Level]:
 def _cmd_verify(args: argparse.Namespace, out: TextIO) -> int:
     certificates = []
     all_trivial = True
-    for level in _levels(args.n, "verification needs"):
+    for level in _levels(args.n):
         cert = verify_main_theorem(level)
         certificates.append(cert.to_json_dict(include_timing=args.timing))
         all_trivial = all_trivial and cert.trivial_only
@@ -244,7 +239,7 @@ def _print_check_lines(n: int, checks: Sequence[dict]) -> None:
 def _cmd_identities(args: argparse.Namespace, out: TextIO) -> int:
     reports = []
     ok = True
-    for level in _levels(args.n, "identity reports need"):
+    for level in _levels(args.n):
         n = level.n
         power_report = q_power_identities(level)
         _print_check_lines(n, power_report["checks"])

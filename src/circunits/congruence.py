@@ -4,9 +4,9 @@ A word w in the d-generators has a mod-2 class in the special basis B,
 computed in the parity ring Z[alpha]/2.  The subgroup E consists of the
 words congruent to 1.  The verifier proves at every n that no nontrivial
 product of sqrt(F)/F coset generators lands in E, by a checked square-zero
-lemma: the classes lie in 1 + V, and V*V = 0 mod 2 for V = span(s_q, r_1,
-..., r_{q-1}), q = 2^(n-3), so the GF(2) system linearizing the products
-is exact.
+lemma: each class minus 1 is annihilated by 1 + alpha^(m/2) mod 2, so it
+lies in an ideal whose square is 0 mod 2, and the GF(2) system linearizing
+the products is exact.
 The identity reports compare classes mod 2 as well, all in the parity
 ring, with no exact arithmetic; at n = 12 they take about 0.2 s.
 """
@@ -32,6 +32,8 @@ from .gf2 import cyc_mul_f2, cyc_pow_f2, gf2_rank, unpack_bits
 from .real_basis import (
     SpecialCoordsMod2,
     _position_labels,
+    _r_mask,
+    _s_mask,
     special_mod2,
     special_mod2_from_parities,
 )
@@ -54,21 +56,6 @@ __all__ = [
 # n = 7 every class is also recomputed by exact evaluation.
 WALK_GENERATORS = 16
 EXACT_CHECK_MAX_N = 7
-
-
-def _s_mask(level: Level, j: int) -> int:
-    """Parity mask of s_j = alpha^j + alpha^(-j), for any integer j.
-
-    alpha^(+-j) reduces to +-alpha^(+-j mod m), so the two bits cancel
-    exactly when j = -j mod m.  The mask of d_j is 1 ^ s_j.
-    """
-    m = level.degree
-    return (1 << j % m) ^ (1 << -j % m)
-
-
-def _r_mask(level: Level, t: int) -> int:
-    """Parity mask of r_t = s_t + s_(2^(n-2)-t)."""
-    return _s_mask(level, t) ^ _s_mask(level, (1 << (level.n - 2)) - t)
 
 
 def _word_parities(w: UnitWord, j: int = 1) -> int:
@@ -325,36 +312,19 @@ class Certificate:
         return data
 
 
-def _coords_structural_check(coords: SpecialCoordsMod2) -> None:
-    """Coset-generator classes must be 1 plus terms from s_{2^(n-3)} and
-    the r-block; anything else would break the linearization."""
-    quarter = 1 << (coords.level.n - 3)
-    if not coords.mask & 1:
-        raise InternalInconsistency("coset generator class has constant term 0")
-    if coords.mask & ((1 << quarter) - 2):
-        raise InternalInconsistency(
-            "coset generator class touches a low s-coordinate"
-        )
+def _in_square_zero_ideal(level: Level, x: int) -> bool:
+    """True iff the parity mask x lies in the ideal (pi^(m/2)) of
+    Z[alpha]/2 = F_2[pi]/(pi^m), pi = 1 + alpha, whose square is 0.
 
-
-def _square_zero_check(level: Level) -> None:
-    """Check the square-zero lemma: V*V = 0 mod 2 for V = span(s_q, r_1,
-    ..., r_{q-1}), q = 2^(n-3), with one product per basis element.
-
-    Z[alpha]/2 = F_2[pi]/(pi^m) with pi = 1 + alpha is a chain ring, so x
-    lies in (pi^(m/2)) iff x * pi^(m/2) = 0, and pi^(m/2) = 1 + alpha^(m/2).
-    Each basis element passes that test, so V lies in (pi^(m/2)) and V*V in
-    (pi^m) = 0.
+    In a chain ring (pi^(m/2)) is the kernel of multiplication by pi^(m/2)
+    = 1 + alpha^(m/2), the x with c_j = c_(j+m/2) for all j.  A real x has
+    c_j = c_(-j) and c_(m/2) = 0, so its coefficients are constant on the
+    orbits of {+-1, +m/2} on Z/m: {0, m/2}, which must be 0, {+-m/4},
+    which gives s_(m/4), and {+-t, m/2 +- t} for 0 < t < m/4, which gives
+    r_t.  So the real part of the ideal is exactly V = span(s_q, r_1, ...,
+    r_(q-1)), q = m/4 = 2^(n-3).
     """
-    m = level.degree
-    quarter = 1 << (level.n - 3)
-    pi_half = 1 | 1 << m // 2
-    basis = [_s_mask(level, quarter)] + [_r_mask(level, t) for t in range(1, quarter)]
-    if any(cyc_mul_f2(pi_half, x, m) for x in basis):
-        raise InternalInconsistency(
-            "square-zero lemma fails: a basis element of the coset-class "
-            "span is not in (1 + alpha)^(m/2) mod 2"
-        )
+    return not cyc_mul_f2(1 | 1 << level.degree // 2, x, level.degree)
 
 
 def _subset_products(masks: list[int], m: int) -> list[bytes]:
@@ -408,12 +378,13 @@ def _transpose(masks: list[int], width: int) -> list[int]:
 def verify_main_theorem(level: Level) -> Certificate:
     """Decide whether only the trivial coset product is congruent to 1.
 
-    The classes are 1 + x_i with x_i in V, and the square-zero lemma V*V = 0
-    mod 2 is checked here, so prod (1 + x_i)^(delta_i) = 1 + sum delta_i x_i
-    and nullity 0 of the linearized system is a proof at every n.  The
-    exhaustive count over all products of the first WALK_GENERATORS
-    generators, which uses neither the lemma nor linearity, must agree with
-    it.  A true verdict pins the intersection of sqrt(F) with E to F.
+    Each class is checked to be 1 + x_i with x_i in the ideal (pi^(m/2)),
+    one product per class, before it is read in B.  The ideal squares to 0
+    mod 2, so prod (1 + x_i)^(delta_i) = 1 + sum delta_i x_i and nullity 0
+    of the linearized system is a proof at every n.  The exhaustive count
+    over all products of the first WALK_GENERATORS generators, which uses
+    neither the lemma nor linearity, must agree with it.  A true verdict
+    pins the intersection of sqrt(F) with E to F.
     """
     n = level.n
     started = time.perf_counter()
@@ -421,18 +392,21 @@ def verify_main_theorem(level: Level) -> Certificate:
     system = generator_system(level)
     gens = system.sqrt_gens
     g = len(gens)
-    _square_zero_check(level)
 
     classes = []
     masks = []
     for lw in gens:
         mask = _word_parities(lw.word)
+        if not _in_square_zero_ideal(level, mask ^ 1):
+            raise InternalInconsistency(
+                f"square-zero lemma fails: the class of {lw.label} is not 1 "
+                "plus an element of (1 + alpha)^(m/2) mod 2"
+            )
         coords = special_mod2_from_parities(level, mask)
         if n <= EXACT_CHECK_MAX_N and special_mod2(eval_word(lw.word)) != coords:
             raise InternalInconsistency(
                 f"{lw.label}: parity-ring class disagrees with exact evaluation"
             )
-        _coords_structural_check(coords)
         classes.append(coords)
         masks.append(mask)
 

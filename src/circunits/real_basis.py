@@ -52,6 +52,21 @@ def seq_r(level: Level, j: int) -> CycInt:
     return CycInt.from_terms(level, [(j, 1), (-j, 1), (q - j, 1), (j - q, 1)])
 
 
+def _s_mask(level: Level, j: int) -> int:
+    """Parity mask of s_j = alpha^j + alpha^(-j), for any integer j.
+
+    alpha^(+-j) reduces to +-alpha^(+-j mod m), so the two bits cancel
+    exactly when j = -j mod m.  The mask of d_j is 1 ^ s_j.
+    """
+    m = level.degree
+    return (1 << j % m) ^ (1 << -j % m)
+
+
+def _r_mask(level: Level, t: int) -> int:
+    """Parity mask of r_t = s_t + s_(2^(n-2)-t)."""
+    return _s_mask(level, t) ^ _s_mask(level, (1 << (level.n - 2)) - t)
+
+
 # ---------------------------------------------------------------------- #
 # special basis B
 
@@ -152,27 +167,18 @@ def rtilde_member(a: CycInt) -> bool:
 # canonical mod-2 index tokens and tables
 
 
-def _fold_token(name: str, period: int, j: int) -> str:
-    """'0' or f'{name}_k' for the class of index j of period `period` that
-    folds by j -> period - j: k = j mod period, folded into 0..period/2,
-    where 0 and period/2 are even."""
-    k = j % period
-    k = min(k, period - k)
-    return "0" if k in (0, period // 2) else f"{name}_{k}"
-
-
 def canonical_s_token(level: Level, j: int) -> str:
-    """Mod-2 canonical name of s_j: '0' or 's_k' with 0 < k < 2^(n-2).
-
-    The class of s_j has period 2^(n-1) and folds by s_{2^(n-1)-j} = s_j,
-    so every index reduces into 0..2^(n-2); s_0 and s_{2^(n-2)} are even.
-    """
-    return _fold_token("s", 1 << (level.n - 1), j)
+    """Mod-2 canonical name of s_j: '0' or 's_k' with 0 < k < 2^(n-2), k
+    the lowest set bit of its mask (the bits +-j mod 2^(n-1))."""
+    mask = _s_mask(level, j)
+    return f"s_{(mask & -mask).bit_length() - 1}" if mask else "0"
 
 
 def canonical_r_token(level: Level, j: int) -> str:
-    """Mod-2 canonical name of r_j, folded into 0..2^(n-3)."""
-    return _fold_token("r", 1 << (level.n - 2), j)
+    """Mod-2 canonical name of r_j: '0' or 'r_k' with 0 < k < 2^(n-3), k
+    the lowest set bit of its mask."""
+    mask = _r_mask(level, j)
+    return f"r_{(mask & -mask).bit_length() - 1}" if mask else "0"
 
 
 def s_table_tokens(level: Level) -> list[str]:

@@ -168,6 +168,14 @@ def test_funnel_small_level(capsys):
     assert "usage error" in err
 
 
+def test_identities_small_level_is_one_usage_error(capsys):
+    # the level gate is the library's LevelTooSmall, reported once
+    code, out, err = run(capsys, "identities", "--n", "3")
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == ["usage error: identities need n >= 4, got 3"]
+
+
 # ---------------------------------------------------------------------- #
 # unit
 

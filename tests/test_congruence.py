@@ -1,5 +1,6 @@
 """Mod-2 word classes, the subgroup E, identity reports, and the verifier."""
 
+import json
 import random
 
 import pytest
@@ -499,21 +500,44 @@ def test_pairwise_square_zero_products_vanish(n):
 
 
 @pytest.mark.parametrize("n", [4, 7, 12])
-def test_square_zero_check_makes_q_products(n, monkeypatch):
+def test_verify_makes_one_ideal_product_per_generator(n, monkeypatch):
     lv = Level(n)
     m = lv.degree
+    pi_half = 1 | 1 << (m // 2)  # (1 + alpha)^(m/2) mod 2
+    # no d_j factor of a word class has this mask, so each product by it is
+    # an ideal test
+    assert all(1 ^ congruence._s_mask(lv, j) != pi_half for j in range(m))
     seen = []
 
     def counting(a, b, width):
-        seen.append((a, b))
+        if a == pi_half:
+            seen.append((b, width))
         return cyc_mul_f2(a, b, width)
 
     monkeypatch.setattr(congruence, "cyc_mul_f2", counting)
-    congruence._square_zero_check(lv)
-    assert len(seen) == 1 << (n - 3)
-    # each product is by (1 + alpha)^(m/2) = 1 + alpha^(m/2)
-    assert {a for a, _ in seen} == {1 | 1 << (m // 2)}
-    assert sorted(b for _, b in seen) == sorted(_coset_span_basis(lv))
+    cert = verify_main_theorem(lv)
+    tested = list(seen)
+    gens = generator_system(lv).sqrt_gens
+    assert len(tested) == len(gens) == len(cert.generators)
+    # each is the class minus 1, in Z[alpha]/2
+    expected = [(congruence._word_parities(lw.word) ^ 1, m) for lw in gens]
+    assert tested == expected
+
+
+@pytest.mark.parametrize("n", range(4, 13))
+def test_real_kernel_of_the_ideal_test_is_the_coset_span(n):
+    """The real masks killed by 1 + alpha^(m/2) form a space of dimension
+    q = 2^(n-3) that holds V = span(s_q, r_1, ..., r_{q-1}), so they are V:
+    the ideal test accepts a real class exactly when it lies in 1 + V."""
+    lv = Level(n)
+    m = lv.degree
+    real = [1] + [pack_bits(seq_s(lv, j).coeffs) for j in range(1, m // 2)]
+    assert gf2_rank(real) == m // 2
+    images = [cyc_mul_f2(1 | 1 << (m // 2), x, m) for x in real]
+    assert len(real) - gf2_rank(images) == 1 << (n - 3)
+    basis = _coset_span_basis(lv)
+    assert gf2_rank(basis) == 1 << (n - 3)
+    assert all(congruence._in_square_zero_ideal(lv, x) for x in basis)
 
 
 def _break_r_block(monkeypatch):
@@ -540,6 +564,82 @@ def test_cli_exits_3_on_broken_r_block(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "square-zero lemma fails" in captured.err
+
+
+def _move_one_class(monkeypatch, lv, fault):
+    # the class of one coset generator, as the verifier computes it, is
+    # replaced by fault(mask); returns that generator
+    target = generator_system(lv).sqrt_gens[1]
+    parities = congruence._word_parities
+
+    def moved(w, j=1):
+        mask = parities(w, j)
+        return fault(lv, mask) if w == target.word and j == 1 else mask
+
+    monkeypatch.setattr(congruence, "_word_parities", moved)
+    return target
+
+
+CLASS_FAULTS = {
+    # real, but outside 1 + V
+    "low_s": lambda lv, mask: mask ^ congruence._s_mask(lv, 1),
+    "lost_constant": lambda lv, mask: mask ^ 1,
+}
+
+
+@pytest.mark.parametrize("n", [5, 8])
+@pytest.mark.parametrize("fault", sorted(CLASS_FAULTS))
+def test_cli_exits_3_on_a_class_outside_one_plus_v(n, fault, monkeypatch, capsys):
+    target = _move_one_class(monkeypatch, Level(n), CLASS_FAULTS[fault])
+    assert main(["verify", "--n", str(n)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"internal disagreement: square-zero lemma fails: the class of "
+        f"{target.label} is not 1 plus an element of (1 + alpha)^(m/2) mod 2"
+    ]
+
+
+@pytest.mark.parametrize("n", [5, 8])
+@pytest.mark.parametrize("fault", ["s_q", "r_1"])
+def test_cli_exits_3_on_a_broken_sequence_mask(n, fault, monkeypatch, capsys):
+    breaks = {"s_q": _break_square_zero_lemma, "r_1": _break_r_block}
+    breaks[fault](monkeypatch)
+    labels = [lw.label for lw in generator_system(Level(n)).sqrt_gens]
+    assert main(["verify", "--n", str(n)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "square-zero lemma fails" in captured.err
+    assert any(f"the class of {label} is" in captured.err for label in labels)
+
+
+@pytest.mark.parametrize("n", [5, 8])
+def test_class_moved_inside_one_plus_v_reaches_the_later_checks(
+    n, monkeypatch, capsys
+):
+    # plus r_1 keeps the class in 1 + V: the ideal test passes it, the exact
+    # comparison catches it up to n = 7, and past that it is certified as given
+    lv = Level(n)
+    r_1_mask = pack_bits(seq_r(lv, 1).coeffs)
+    target = _move_one_class(monkeypatch, lv, lambda _, mask: mask ^ r_1_mask)
+    code = main(["verify", "--n", str(n)])
+    captured = capsys.readouterr()
+    if n <= congruence.EXACT_CHECK_MAX_N:
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"internal disagreement: {target.label}: parity-ring class "
+            "disagrees with exact evaluation"
+        ]
+        return
+    monkeypatch.undo()
+    honest = verify_main_theorem(lv).to_json_dict()
+    data = json.loads(captured.out)
+    r_1 = 1 << ((1 << (n - 3)) + 1)  # B-position of r_1
+    for got, want in zip(data["generators"], honest["generators"]):
+        flip = r_1 if got["label"] == target.label else 0
+        assert int(got["coords_hex"], 16) == int(want["coords_hex"], 16) ^ flip
+    assert code == (0 if data["verdict"] == "trivial_only" else 2)
 
 
 def test_word_parities_checks_the_order_premise(monkeypatch):
@@ -729,7 +829,7 @@ def test_exhaustive_kernel_uses_neither_lemma_nor_rank(monkeypatch):
         raise AssertionError("the exhaustive count used the linear route")
 
     monkeypatch.setattr(congruence, "gf2_rank", forbidden)
-    monkeypatch.setattr(congruence, "_square_zero_check", forbidden)
+    monkeypatch.setattr(congruence, "_in_square_zero_ideal", forbidden)
     assert congruence._exhaustive_kernel(masks, lv.degree) == (1 << 16, 1)
 
 

@@ -543,3 +543,19 @@ def test_r_tokens_match_parities(n):
             k = int(token[2:])
             assert 0 < k < (1 << (n - 3))
             assert actual == parities(seq_r(lv, k))
+
+
+def _fold_rule(name, period, j):
+    # the closed form the tokens were once computed by: k = j mod period,
+    # folded by k -> period - k into 0..period/2, where 0 and period/2 are even
+    k = j % period
+    k = min(k, period - k)
+    return "0" if k in (0, period // 2) else f"{name}_{k}"
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_tokens_name_the_lowest_mask_bit_as_the_fold_rule_did(n):
+    lv = Level(n)
+    for j in range(-3 << n, 3 << n):
+        assert canonical_s_token(lv, j) == _fold_rule("s", 1 << (n - 1), j)
+        assert canonical_r_token(lv, j) == _fold_rule("r", 1 << (n - 2), j)
