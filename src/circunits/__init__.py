@@ -2,119 +2,25 @@
 unity, their mod-2 congruence calculus, the funnel subgroups F and sqrt(F),
 and the induced units of the group ring Z[C_{2^n}]."""
 
-from .circular_units import (
-    UnitWord,
-    beta,
-    d_index_set,
-    eval_word,
-    parse_word,
-)
-from .congruence import (
-    Certificate,
-    F2System,
-    e_membership,
-    galois_transport_check,
-    p_factor_indices,
-    q_power_identities,
-    verify_main_theorem,
-    word_mod2,
-)
-from .cyclotomic import CycInt, Level
-from .errors import (
-    CircUnitsError,
-    DisagreementError,
-    EvenGaloisIndex,
-    IndexNotInPartition,
-    IndexOutOfRange,
-    InternalInconsistency,
-    LevelMismatch,
-    LevelTooSmall,
-    NonRealWord,
-    NotAUnit,
-    NotIntegral,
-    NotReal,
-)
-from .funnel import (
-    FunnelPartition,
-    GeneratorSystem,
-    LabeledWord,
-    build_partition,
-    generator_system,
-    q_word,
-)
-from .group_ring import (
-    GroupRingElt,
-    V1Report,
-    gr_mul,
-    is_admissible,
-    u_chi1,
-    v1_generators,
-)
-from .real_basis import (
-    SpecialCoordsMod2,
-    canonical_r_token,
-    canonical_s_token,
-    r_table_tokens,
-    rtilde_member,
-    s_table_tokens,
-    seq_d,
-    seq_r,
-    seq_s,
-    special_mod2,
-)
-from .version import TOOL_VERSION
+from .circular_units import *
+from .congruence import *
+from .cyclotomic import *
+from .errors import *
+from .funnel import *
+from .group_ring import *
+from .real_basis import *
+from .version import *
 
 __version__ = TOOL_VERSION
 
+# importing a submodule binds its name here, so each list is reachable
 __all__ = [
-    "Certificate",
-    "CircUnitsError",
-    "CycInt",
-    "DisagreementError",
-    "EvenGaloisIndex",
-    "F2System",
-    "FunnelPartition",
-    "GeneratorSystem",
-    "GroupRingElt",
-    "IndexNotInPartition",
-    "IndexOutOfRange",
-    "InternalInconsistency",
-    "LabeledWord",
-    "Level",
-    "LevelMismatch",
-    "LevelTooSmall",
-    "NonRealWord",
-    "NotAUnit",
-    "NotIntegral",
-    "NotReal",
-    "SpecialCoordsMod2",
-    "TOOL_VERSION",
-    "UnitWord",
-    "V1Report",
-    "beta",
-    "build_partition",
-    "canonical_r_token",
-    "canonical_s_token",
-    "d_index_set",
-    "e_membership",
-    "eval_word",
-    "galois_transport_check",
-    "generator_system",
-    "gr_mul",
-    "is_admissible",
-    "p_factor_indices",
-    "parse_word",
-    "q_power_identities",
-    "q_word",
-    "r_table_tokens",
-    "rtilde_member",
-    "s_table_tokens",
-    "seq_d",
-    "seq_r",
-    "seq_s",
-    "special_mod2",
-    "u_chi1",
-    "v1_generators",
-    "verify_main_theorem",
-    "word_mod2",
+    *circular_units.__all__,
+    *congruence.__all__,
+    *cyclotomic.__all__,
+    *errors.__all__,
+    *funnel.__all__,
+    *group_ring.__all__,
+    *real_basis.__all__,
+    *version.__all__,
 ]

@@ -37,12 +37,10 @@ from .errors import (
     LevelTooSmall,
     NotIntegral,
 )
-from .funnel import generator_system, build_partition
+from .funnel import CERTIFIED_LEVELS, build_partition, generator_system
 from .group_ring import _require_one_mod2, u_chi1
 from .real_basis import r_table_tokens, s_table_tokens
 from .version import TOOL_VERSION
-
-DEFAULT_WALK = (4, 5, 6, 7)
 
 # Largest coefficient bit-length, as bounded by _check_word_size, that unit
 # evaluates exactly.  The gammas are printed in decimal, and Python refuses
@@ -103,7 +101,7 @@ def _level_arg(n: int) -> Level:
 
 def _levels(n: int | None) -> list[Level]:
     """The level given by --n, or the default walk 4..7."""
-    return [Level(k) for k in DEFAULT_WALK] if n is None else [_level_arg(n)]
+    return [Level(k) for k in CERTIFIED_LEVELS] if n is None else [_level_arg(n)]
 
 
 # ---------------------------------------------------------------------- #

@@ -27,7 +27,7 @@ from .errors import (
     LevelTooSmall,
     NonRealWord,
 )
-from .funnel import generator_system, q_word
+from .funnel import CERTIFIED_LEVELS, generator_system, q_word
 from .gf2 import cyc_mul_f2, cyc_pow_f2, gf2_rank, unpack_bits
 from .real_basis import (
     SpecialCoordsMod2,
@@ -48,7 +48,6 @@ __all__ = [
     "q_power_identities",
     "galois_transport_check",
     "verify_main_theorem",
-    "WALK_GENERATORS",
 ]
 
 # The exhaustive count covers all products of the first 16 coset generators
@@ -199,7 +198,7 @@ def q_power_identities(level: Level) -> dict:
     )
     return {
         "n": n,
-        "certified_range": 4 <= n <= 7,
+        "certified_range": n in CERTIFIED_LEVELS,
         "checks": checks,
         "all_passed": all(c["passed"] for c in checks),
     }
@@ -241,7 +240,7 @@ def galois_transport_check(level: Level) -> dict:
     table = [{"label": lw.label, "value": text} for lw, text in zip(gens, shown)]
     return {
         "n": n,
-        "certified_range": 5 <= n <= 7,
+        "certified_range": n in CERTIFIED_LEVELS,
         "transports": transports,
         "coset_table": table,
         "all_passed": all(t["passed"] for t in transports),

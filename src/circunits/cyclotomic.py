@@ -30,6 +30,8 @@ from typing import Iterable, Sequence
 
 from .errors import EvenGaloisIndex, LevelMismatch, NotAUnit
 
+__all__ = ["CycInt", "Level"]
+
 MIN_LEVEL = 3
 MAX_LEVEL = 12
 

@@ -1,6 +1,19 @@
 """Exception hierarchy shared by all circunits modules."""
 
-from __future__ import annotations
+__all__ = [
+    "CircUnitsError",
+    "LevelMismatch",
+    "EvenGaloisIndex",
+    "NotAUnit",
+    "InternalInconsistency",
+    "NotReal",
+    "NonRealWord",
+    "NotIntegral",
+    "LevelTooSmall",
+    "IndexOutOfRange",
+    "IndexNotInPartition",
+    "DisagreementError",
+]
 
 
 class CircUnitsError(Exception):

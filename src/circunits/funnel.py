@@ -26,6 +26,10 @@ __all__ = [
     "generator_system",
 ]
 
+# The levels n = 4..7 (conductors 16..128) that the paper settles: there the
+# congruence subgroup E is known to equal F.
+CERTIFIED_LEVELS = range(4, 8)
+
 
 @dataclass(frozen=True, slots=True)
 class FunnelPartition:

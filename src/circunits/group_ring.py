@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .circular_units import eval_word
 from .cyclotomic import CycInt, Level, _require_unit, _wrapped
 from .errors import InternalInconsistency, LevelMismatch, LevelTooSmall, NotIntegral
-from .funnel import generator_system
+from .funnel import CERTIFIED_LEVELS, generator_system
 from .gf2 import pack_bits
 
 __all__ = [
@@ -162,7 +162,7 @@ class V1Report:
 def v1_generators(level: Level) -> V1Report:
     """u_chi1 images of the F generator system (valid for n = 4..7, where
     the congruence subgroup E is known to equal F)."""
-    if not 4 <= level.n <= 7:
+    if level.n not in CERTIFIED_LEVELS:
         raise LevelTooSmall(
             f"the generator description of E is established for n = 4..7, got {level.n}"
         )

@@ -3,8 +3,11 @@
 The s-basis is (1, s_1, ..., s_{2^(n-2)-1}) with s_j = alpha^j + alpha^(-j).
 The special basis B replaces the upper half of the s-range by the elements
 r_j = s_j + s_{2^(n-2)-j}, giving (1, s_1, ..., s_{2^(n-3)}, r_1, ...,
-r_{2^(n-3)-1}).  Mod 2 the r-block spans a square-zero ideal image, which is
-what makes unit congruences linear in these coordinates.
+r_{2^(n-3)-1}).  Mod 2 the r-block spans the image of R~ = (Z-span of the
+r_j) + 2 * (real subring).  Unit congruences are linear in these coordinates
+because the real part of the ideal (pi^(m/2)) of Z[alpha]/2, pi = 1 + alpha,
+whose square is 0, is V = span(s_q, r_1, ..., r_(q-1)), q = 2^(n-3): the top
+s-coordinate and the r-block.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ __all__ = [
     "seq_d",
     "seq_r",
     "special_mod2",
-    "special_mod2_from_parities",
     "rtilde_member",
     "canonical_s_token",
     "canonical_r_token",
