@@ -265,9 +265,9 @@ class Certificate:
     """Replayable record of one main-theorem verification run.
 
     The JSON form states each fact once: a class by its coords_hex, and the
-    odd-r block by its rows_hex.  rows_bits is kept in memory only.  The
-    proof ranks the class columns; matrix_rows_hex, their transpose into
-    the rows of the GF(2) system, is rendered here for the document.
+    odd-r block by its rows_hex; its rows_bits, built at n <= 7 only, stays
+    in memory.  The proof ranks the class columns; matrix_rows_hex, their
+    transpose into the rows of the GF(2) system, is rendered for the document.
     """
 
     level: Level
@@ -437,10 +437,11 @@ def verify_main_theorem(level: Level) -> Certificate:
             "column_indices": block,
             "row_labels": list(_position_labels(n)[quarter + 1 :: 2]),
             "rows_hex": [format(r, f"0{sub_width}x") for r in sub_rows],
-            "rows_bits": [unpack_bits(r, len(block)) for r in sub_rows],
             "rank": sub_rank,
             "full_rank": sub_rank == len(block) == len(sub_rows),
         }
+        if n in CERTIFIED_LEVELS:
+            odd_r["rows_bits"] = [unpack_bits(r, len(block)) for r in sub_rows]
 
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     return Certificate(

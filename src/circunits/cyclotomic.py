@@ -26,6 +26,10 @@ level down; the inverse is the case p = 1.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
+from itertools import chain, repeat
+from operator import add, mul, neg, sub
+from struct import iter_unpack
 from typing import Iterable, Sequence
 
 from .errors import EvenGaloisIndex, LevelMismatch, NotAUnit
@@ -81,7 +85,7 @@ def _wrapped(x: Sequence[int], y: Sequence[int], sign: int) -> list[int]:
         if a:
             for j, c in terms:
                 full[i + j] += a * c
-    return [a + sign * b for a, b in zip(full[:m], full[m:])]
+    return list(map(sub if sign < 0 else add, full[:m], full[m:]))
 
 
 def _kronecker(
@@ -128,9 +132,15 @@ def _slots(x: Sequence[int], y: Sequence[int], overlap: int) -> tuple[int, int]:
         + overlap.bit_length()
         + 8
     ) // 8
+    return width, _biases(width, len(x) // 2)
+
+
+@lru_cache(maxsize=128)
+def _biases(width: int, slots: int) -> int:
+    """The integer holding h = 2^(8 * width - 1) in each of its slots, each
+    of width bytes, cached by (width, slots)."""
     bias = 1 << (8 * width - 1)
-    biases = int.from_bytes(bias.to_bytes(width, "little") * (len(x) // 2), "little")
-    return width, biases
+    return int.from_bytes(bias.to_bytes(width, "little") * slots, "little")
 
 
 def _pack(v: Sequence[int], width: int, biases: int) -> tuple[int, int]:
@@ -157,7 +167,10 @@ def _unpack(parts: list[int], width: int, biases: int, sign: int) -> list[int]:
 
     A part plus h in each of its low k slots splits there into
     lo + 2^(8 * width * k) * hi, and lo + sign * hi wraps it in one
-    big-integer add (the wrap of Schoenhage-Strassen).
+    big-integer add (the wrap of Schoenhage-Strassen).  The wrapped parts
+    are joined into one byte string, and every slot is read in one C-level
+    pass: struct.iter_unpack cuts the slots, int.from_bytes reads each and
+    -h is added to each, all through map.
     """
     bias = 1 << (8 * width - 1)
     split = biases.bit_length()  # h fills the top bit of the top slot
@@ -167,11 +180,8 @@ def _unpack(parts: list[int], width: int, biases: int, sign: int) -> list[int]:
         part += biases
         wrapped = (part & low) + sign * (part >> split)
         chunks.append(wrapped.to_bytes(split // 8, "little"))
-    raw = b"".join(chunks)
-    values = [
-        int.from_bytes(raw[k : k + width], "little") - bias
-        for k in range(0, len(raw), width)
-    ]
+    slots = chain.from_iterable(iter_unpack(f"{width}s", b"".join(chunks)))
+    values = list(map((-bias).__add__, map(int.from_bytes, slots, repeat("little"))))
     if len(parts) == 2:
         k = len(values) // 2
         values[0::2], values[1::2] = values[:k], values[k:]
@@ -204,7 +214,7 @@ def _halve(c: Sequence[int]) -> list[int]:
     e2 = _wrapped(even, even, -1)
     o2 = _wrapped(odd, odd, -1)
     # beta * O^2 moves every coefficient up one power; the top one wraps to -1
-    return [e2[0] + o2[-1]] + [a - b for a, b in zip(e2[1:], o2)]
+    return [e2[0] + o2[-1]] + list(map(sub, e2[1:], o2))
 
 
 def _divide(p: Sequence[int] | None, c: Sequence[int]) -> list[int]:
@@ -217,7 +227,8 @@ def _divide(p: Sequence[int] | None, c: Sequence[int]) -> list[int]:
         _require_unit(c[0])
         return list(c) if p is None else [c[0] * v for v in p]
     z = _divide(None, _halve(c))
-    num = [-v if i & 1 else v for i, v in enumerate(c)]  # x(-alpha)
+    num = list(c)
+    num[1::2] = map(neg, c[1::2])  # x(-alpha)
     if p is not None:
         num = _wrapped(p, num, -1)
     num[0::2] = _wrapped(num[0::2], z, -1)
@@ -282,14 +293,18 @@ class CycInt:
     def from_terms(cls, level: Level, terms: Iterable[tuple[int, int]]) -> CycInt:
         """Sum of c * alpha^e over (e, c) pairs, for any integers e.
 
-        The one exponent reducer: e = q*m + i with 0 <= i < m, and
-        alpha^(q*m) = (-1)^q because alpha^m = -1.
+        The one exponent reducer.  alpha has order 2m, a power of two, so
+        alpha^e depends only on e mod 2m = e & (2m - 1): Python's & acts on
+        the two's-complement form of e, which for a negative e is the same
+        as adding a large enough multiple of 2m, so the mask also reduces
+        negative exponents.  Of e & (2m - 1), the low bits e & (m - 1) are
+        the index i and the bit e & m says whether alpha^m = -1 flips it.
         """
         m = level.degree
+        low = m - 1
         coeffs = [0] * m
         for e, c in terms:
-            q, i = divmod(e, m)
-            coeffs[i] += -c if q & 1 else c
+            coeffs[e & low] += -c if e & m else c
         return cls(level, tuple(coeffs))
 
     # ------------------------------------------------------------------ #
@@ -297,18 +312,14 @@ class CycInt:
 
     def __add__(self, other: CycInt) -> CycInt:
         _check_same_level(self, other)
-        return CycInt(
-            self.level, tuple(x + y for x, y in zip(self.coeffs, other.coeffs))
-        )
+        return CycInt(self.level, tuple(map(add, self.coeffs, other.coeffs)))
 
     def __sub__(self, other: CycInt) -> CycInt:
         _check_same_level(self, other)
-        return CycInt(
-            self.level, tuple(x - y for x, y in zip(self.coeffs, other.coeffs))
-        )
+        return CycInt(self.level, tuple(map(sub, self.coeffs, other.coeffs)))
 
     def __neg__(self) -> CycInt:
-        return CycInt(self.level, tuple(-x for x in self.coeffs))
+        return CycInt(self.level, tuple(map(neg, self.coeffs)))
 
     def __mul__(self, other: CycInt) -> CycInt:
         _check_same_level(self, other)
@@ -326,7 +337,7 @@ class CycInt:
         return result
 
     def __rmul__(self, scalar: int) -> CycInt:
-        return CycInt(self.level, tuple(scalar * x for x in self.coeffs))
+        return CycInt(self.level, tuple(map(mul, repeat(scalar), self.coeffs)))
 
     # ------------------------------------------------------------------ #
     # Galois action, trace, norm

@@ -10,6 +10,8 @@ bridge between the congruence subgroup E and group-ring units.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
+from operator import add, rshift, sub
 
 from .circular_units import eval_word
 from .cyclotomic import CycInt, Level, _require_unit, _wrapped
@@ -94,17 +96,13 @@ def gr_mul(a: GroupRingElt, b: GroupRingElt) -> GroupRingElt:
         raise LevelMismatch("group ring elements live at different levels")
     m = a.level.degree
     a_lo, a_hi, b_lo, b_hi = a.coeffs[:m], a.coeffs[m:], b.coeffs[:m], b.coeffs[m:]
-    p = _wrapped(
-        [x + y for x, y in zip(a_lo, a_hi)], [x + y for x, y in zip(b_lo, b_hi)], 1
-    )
-    q = _wrapped(
-        [x - y for x, y in zip(a_lo, a_hi)], [x - y for x, y in zip(b_lo, b_hi)], -1
-    )
-    gap = [x - y for x, y in zip(p, q)]
-    if any(g & 1 for g in gap):
+    p = _wrapped(list(map(add, a_lo, a_hi)), list(map(add, b_lo, b_hi)), 1)
+    q = _wrapped(list(map(sub, a_lo, a_hi)), list(map(sub, b_lo, b_hi)), -1)
+    gap = list(map(sub, p, q))
+    if any(map((1).__and__, gap)):
         raise InternalInconsistency("group-ring product: p - q is odd, not 0 mod 2")
-    hi = [g >> 1 for g in gap]
-    return GroupRingElt(a.level, tuple([y + h for y, h in zip(q, hi)] + hi))
+    hi = list(map(rshift, gap, repeat(1)))
+    return GroupRingElt(a.level, tuple(list(map(add, q, hi)) + hi))
 
 
 def _require_one_mod2(parities: int) -> None:

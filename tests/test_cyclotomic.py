@@ -173,6 +173,34 @@ def product_operands(lv: Level):
     )
 
 
+def divmod_from_terms(level: Level, terms) -> tuple:
+    """Reference exponent reducer: e = q*m + i with 0 <= i < m by divmod,
+    and alpha^(q*m) = (-1)^q because alpha^m = -1."""
+    m = level.degree
+    coeffs = [0] * m
+    for e, c in terms:
+        q, i = divmod(e, m)
+        coeffs[i] += -c if q & 1 else c
+    return tuple(coeffs)
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_from_terms_mask_against_divmod(n):
+    """The masked reducer against divmod on every exponent in [-6m, 6m]:
+    each exponent alone, and all of them at once with seeded 64-bit
+    coefficients, plus exponents next to +-2^100 and multiples of m."""
+    lv = Level(n)
+    m = lv.degree
+    rng = random.Random(n)
+    exponents = list(range(-6 * m, 6 * m + 1))
+    huge = [s * (1 << 100) + d for s in (1, -1) for d in (-m - 1, -m, -1, 0, 1, m)]
+    for e in exponents + huge:
+        assert CycInt.monomial(lv, e, 7).coeffs == divmod_from_terms(lv, [(e, 7)])
+    for pool in (exponents, huge):
+        terms = [(e, rng.getrandbits(64) - (1 << 63)) for e in pool]
+        assert CycInt.from_terms(lv, terms).coeffs == divmod_from_terms(lv, terms)
+
+
 @pytest.mark.parametrize("n", range(3, 10))
 @settings(derandomize=True, max_examples=12, deadline=None)
 @given(data=st.data())
@@ -316,6 +344,87 @@ def test_kronecker_square_packs_once(monkeypatch):
                 got = cyclotomic._kronecker(x, y, m, sign)
                 assert got == ref_wrapped(x, x, sign)
                 assert [id(v) for v in packs] == ([id(x)] if y is x else [id(x), id(y)])
+
+
+def per_slot_unpack(parts: list, width: int, biases: int, sign: int) -> list:
+    """Reference read-back: _unpack's wrap, then one slice and one
+    int.from_bytes per slot."""
+    bias = 1 << (8 * width - 1)
+    split = biases.bit_length()
+    low = (1 << split) - 1
+    chunks = []
+    for part in parts:
+        part += biases
+        wrapped = (part & low) + sign * (part >> split)
+        chunks.append(wrapped.to_bytes(split // 8, "little"))
+    raw = b"".join(chunks)
+    values = [
+        int.from_bytes(raw[k : k + width], "little") - bias
+        for k in range(0, len(raw), width)
+    ]
+    if len(parts) == 2:
+        k = len(values) // 2
+        values[0::2], values[1::2] = values[:k], values[k:]
+    return values
+
+
+def in_place_biases(width: int, slots: int) -> int:
+    """The bias integer as _slots built it for every product."""
+    bias = 1 << (8 * width - 1)
+    return int.from_bytes(bias.to_bytes(width, "little") * slots, "little")
+
+
+def unpack_part(width: int, slots: int, sign: int, rng) -> tuple:
+    """A part of 2 * slots coefficients in (-h, h), h = 2^(8 * width - 1),
+    whose wraps by s^slots = sign are also in (-h, h), and those wraps.
+    Every fourth wrap is h - 1, every fourth -(h - 1)."""
+    top = (1 << (8 * width - 1)) - 1
+    wraps, lo, hi = [], [], []
+    for j in range(slots):
+        w = (top, -top, 0, rng.randint(-top, top))[j % 4]
+        # s = sign * t for the high coefficient t; lo = w - s stays in range
+        s = rng.choice((max(w - top, -top), min(w + top, top), 0))
+        wraps.append(w)
+        hi.append(sign * s)
+        lo.append(w - s)
+    part = sum(v << (8 * width * j) for j, v in enumerate(lo + hi))
+    return part, wraps
+
+
+@pytest.mark.parametrize("width", range(1, 41))
+def test_one_pass_unpack_against_per_slot_read(width):
+    """_unpack reads every slot in one pass: the same values as the
+    per-slot read and as the wraps the parts were built from, for one and
+    two parts, both wrap signs, and slot values at +-(h - 1)."""
+    rng = random.Random(width)
+    for slots in (1, 2, 3, 4, 8):
+        biases = cyclotomic._biases(width, slots)
+        for sign in (1, -1):
+            for count in (1, 2):
+                parts, wraps = zip(
+                    *(unpack_part(width, slots, sign, rng) for _ in range(count))
+                )
+                expected = [v for column in zip(*wraps) for v in column]
+                got = cyclotomic._unpack(list(parts), width, biases, sign)
+                assert got == per_slot_unpack(list(parts), width, biases, sign)
+                assert got == expected
+
+
+def test_cached_biases_against_the_in_place_build():
+    """_biases(width, slots) against the integer _slots built in place, and
+    against h placed in each slot by shifts; _slots hands it on."""
+    for width in range(1, 41):
+        for slots in (1, 2, 3, 4, 16, 256, 2048):
+            in_place = in_place_biases(width, slots)
+            assert cyclotomic._biases(width, slots) == in_place
+            assert cyclotomic._biases(width, slots) == in_place  # cached
+            if slots <= 16:
+                h = 1 << (8 * width - 1)
+                assert in_place == sum(h << (8 * width * j) for j in range(slots))
+    for m in (2, 8, 512):
+        x = [(1 << 40) - 1] * m
+        width, biases = cyclotomic._slots(x, x, m)
+        assert biases == in_place_biases(width, m // 2)
 
 
 def two_point_vectors(m: int, bits: int) -> dict:

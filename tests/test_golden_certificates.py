@@ -15,7 +15,7 @@ import json
 
 import pytest
 
-from circunits import TOOL_VERSION, Level, SpecialCoordsMod2
+from circunits import TOOL_VERSION, Level, SpecialCoordsMod2, verify_main_theorem
 from circunits.cli import main
 from circunits.gf2 import unpack_bits
 
@@ -117,3 +117,14 @@ def test_default_walk_is_the_parent_without_its_copies(capsys):
     docs = json.loads(verify_stdout(capsys))
     rebuilt = printed([parent_certificate(doc) for doc in docs])
     assert digest(rebuilt) == PARENT_DEFAULT_WALK_DIGEST
+
+
+@pytest.mark.parametrize("n", [8, 12])
+def test_rows_bits_is_built_at_certified_levels_only(n):
+    """Beyond n = 7 the odd-r block keeps no rows_bits in memory, and the
+    certificate is the same bytes: to_json_dict has nothing to drop."""
+    cert = verify_main_theorem(Level(n))
+    assert "rows_bits" not in cert.odd_r_subsystem
+    data = cert.to_json_dict()
+    assert data["odd_r_subsystem"] == cert.odd_r_subsystem
+    assert digest(printed(data)) == VERIFY_DIGESTS[n]
