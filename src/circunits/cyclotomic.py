@@ -16,9 +16,9 @@ x = E(alpha^2) + alpha * O(alpha^2) and beta = alpha^2,
 
     x(alpha) * x(-alpha) = E(beta)^2 - beta * O(beta)^2,
 
-an element of Z[beta], the ring one level down, and at length 1 of Z.  For
-a dense x the same identity at alpha = 2^b makes that one big-integer
-product, x(2^b) * x(-2^b); a sparse x takes two half-length squares.  So
+an element of Z[beta], the ring one level down, and at length 1 of Z.
+Each step is that one product: a dense x takes it as one big-integer
+product, x(2^b) * x(-2^b), a sparse x by the double loop.  So
 p/x = p * x(-alpha) * z with z the inverse of x(alpha) * x(-alpha) one
 level down; the inverse is the case p = 1.
 """
@@ -76,7 +76,7 @@ def _wrapped(x: Sequence[int], y: Sequence[int], sign: int) -> list[int]:
     """
     m = len(x)
     nx = m - x.count(0)
-    ny = m - y.count(0)
+    ny = nx if y is x else m - y.count(0)
     if nx * ny >= 8 * m:
         return _kronecker(x, y, min(nx, ny), sign)
     terms = [(j, c) for j, c in enumerate(y) if c]
@@ -115,20 +115,14 @@ def _kronecker(
     return _unpack([(p + q) >> 1, (p - q) >> (4 * width + 1)], width, biases, sign)
 
 
-def _kronecker_halve(c: Sequence[int], overlap: int) -> list[int]:
-    """_halve in one product c(2^b) * c(-2^b), where no coefficient of
-    E^2 - beta * O^2 sums more than overlap products (see _halve)."""
-    width, biases = _slots(c, c, overlap)
-    xp, xn = _pack(c, width, biases)
-    return _unpack([xp * xn], width, biases, -1)
-
-
 def _slots(x: Sequence[int], y: Sequence[int], overlap: int) -> tuple[int, int]:
     """The slot width B in bytes for x * y (see _kronecker) and the integer
-    holding the bias h = 2^(8B-1) in each of len(x)/2 slots."""
+    holding the bias h = 2^(8B-1) in each of len(x)/2 slots.  A square
+    (y is x) scans its operand once."""
+    top = max(map(abs, x)).bit_length()
     width = (
-        max(map(abs, x)).bit_length()
-        + max(map(abs, y)).bit_length()
+        top
+        + (top if y is x else max(map(abs, y)).bit_length())
         + overlap.bit_length()
         + 8
     ) // 8
@@ -192,29 +186,28 @@ def _halve(c: Sequence[int]) -> list[int]:
     """x(alpha) * x(-alpha) for the x with coefficients c.
 
     alpha -> -alpha generates the Galois group over the subfield of
-    beta = alpha^2, so splitting x = E(beta) + alpha * O(beta) by exponent
-    parity, the product E(beta)^2 - beta * O(beta)^2 is returned as len(c)/2
-    coefficients in powers of beta, where beta^(len(c)/2) = -1.
+    beta = alpha^2 and fixes this product, so its odd coefficients vanish
+    and its even ones are returned: len(c)/2 coefficients in powers of
+    beta, where beta^(len(c)/2) = -1.
 
-    With nx nonzero coefficients, a dense x (nx * nx >= 8 * len(c),
-    _wrapped's rule for x times x(-alpha)) takes one big-integer product
-    (_kronecker_halve): the same identity at alpha = 2^b, b = 4B bits, is
-    x(2^b) * x(-2^b) = E(2^(2b))^2 - 2^(2b) * O(2^(2b))^2, two-point
-    Kronecker substitution (Harvey 2009, see _kronecker) with one
+    With nx nonzero coefficients, a sparse x (nx * nx < 8 * len(c))
+    takes the product through _wrapped, whose own rule keeps it on the
+    double loop.  A dense x takes it in one big-integer product,
+    x(2^b) * x(-2^b) with b = 4B bits: two-point Kronecker substitution
+    (Harvey 2009, see _kronecker) whose product, even in alpha, holds one
     coefficient per slot of 2b bits.  Each coefficient, wrapped or not,
-    sums at most nonzeros(E) + nonzeros(O) = nx products, so _kronecker's
-    width bound with overlap nx keeps every slot exact.  A sparse x takes
-    two half-length squares, E^2 and O^2.
+    sums at most nx products, so _kronecker's width bound with overlap nx
+    keeps every slot exact.
     """
     m = len(c)
     nx = m - c.count(0)
-    if nx * nx >= 8 * m:
-        return _kronecker_halve(c, nx)
-    even, odd = c[0::2], c[1::2]
-    e2 = _wrapped(even, even, -1)
-    o2 = _wrapped(odd, odd, -1)
-    # beta * O^2 moves every coefficient up one power; the top one wraps to -1
-    return [e2[0] + o2[-1]] + list(map(sub, e2[1:], o2))
+    if nx * nx < 8 * m:
+        conjugate = list(c)
+        conjugate[1::2] = map(neg, c[1::2])  # x(-alpha)
+        return _wrapped(c, conjugate, -1)[0::2]
+    width, biases = _slots(c, c, nx)
+    xp, xn = _pack(c, width, biases)
+    return _unpack([xp * xn], width, biases, -1)
 
 
 def _divide(p: Sequence[int] | None, c: Sequence[int]) -> list[int]:

@@ -5,8 +5,10 @@ so the flat product over all Galois conjugates serves as the independent
 oracle here.
 """
 
+import builtins
 import random
 import sys
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -708,25 +710,138 @@ def halving_against_galois_route(x: CycInt) -> int:
     return c[0]
 
 
+def two_squares_halving(c: list) -> list:
+    """Reference for one step of the halving: with c = E(beta) + alpha *
+    O(beta), the half-length squares E^2 - beta * O^2 by the double loop,
+    beta * O^2 moved up one power and its top coefficient wrapped to -1."""
+    even, odd = c[0::2], c[1::2]
+    e2 = ref_wrapped(even, even, -1)
+    o2 = ref_wrapped(odd, odd, -1)
+    return [e2[0] + o2[-1]] + [a - b for a, b in zip(e2[1:], o2)]
+
+
 @pytest.mark.parametrize("m", [1 << k for k in range(1, 12)])
-def test_one_product_halving_against_galois_route(m):
-    """_kronecker_halve at overlap m, and _halve, against the two
-    half-length squares of the double loop and, up to m = 256, against
-    galois_halving, on the two_point_vectors kinds at bound_bits widths.
-    Beyond m = 256 one width and three kinds run (the oracle's cost)."""
+def test_one_product_halving_against_galois_route(monkeypatch, m):
+    """_halve against the two half-length squares of the double loop and,
+    up to m = 256, against galois_halving, on the two_point_vectors kinds
+    at bound_bits widths.  Every kind but the even- and odd-only ones is
+    fully dense, so from m = 8 on _halve packs it at overlap m, the width
+    bound; those two have m/2 nonzeros.  Beyond m = 256 one width and
+    three kinds run (the oracle's cost)."""
+    overlaps = []
+
+    def spy(x, y, overlap):
+        overlaps.append(overlap)
+        return slots(x, y, overlap)
+
+    slots = cyclotomic._slots
+    monkeypatch.setattr(cyclotomic, "_slots", spy)
     small = m <= 256
     for bits in (9, 64) if small else (30,):
         vectors = two_point_vectors(m, bound_bits(m, bits))
         for kind in vectors if small else ("high", "alt", "odd"):
             c = vectors[kind]
-            even, odd = c[0::2], c[1::2]
-            e2 = ref_wrapped(even, even, -1)
-            o2 = ref_wrapped(odd, odd, -1)
-            expected = [e2[0] + o2[-1]] + [a - b for a, b in zip(e2[1:], o2)]
-            assert cyclotomic._kronecker_halve(c, m) == expected
+            nx = m - c.count(0)
+            assert nx == (m // 2 if kind in ("even", "odd") else m)
+            expected = two_squares_halving(c)
+            overlaps.clear()
             assert cyclotomic._halve(c) == expected
+            assert overlaps == [nx] * (nx * nx >= DENSE_RULE * m)
             if small:
                 assert galois_halving(c) == expected
+
+
+def halving_cases(m: int) -> list:
+    """Vectors of length m for one tower step.  Seeded ones whose nonzero
+    count nx sits on each side of the dense rule, the largest nx with
+    nx^2 < 8m (8m - 1 or just under) and the next (8m or just over; up to
+    m = 4 both are m, and sparse), in kernel_vector's high, neg and mixed
+    kinds at 1, 2, 64 and 200 bits.  From m = 4 (n = 3) on, also d_j,
+    1 - alpha^k and beta(l) as they are and times 2^200 - 1."""
+    rng = random.Random(m + 24)
+    below = isqrt(DENSE_RULE * m - 1)
+    cases = [
+        kernel_vector(m, nx, kind, bits, rng)
+        for nx in sorted({min(below, m), min(below + 1, m)})
+        for bits in (1, 2, 64, 200)
+        for kind in ("high", "neg", "mixed")
+    ]
+    if m >= 4:
+        lv = Level(m.bit_length())
+        q = m // 2
+        elements = [seq_d(lv, j) for j in (1, 3, m - 1)]
+        elements += [CycInt.one(lv) - CycInt.monomial(lv, k) for k in (1, q, m - 1)]
+        elements += [beta(lv, l) for l in (0, 1, q - 1)]
+        for x in elements:
+            cases += [list(x.coeffs), list((((1 << 200) - 1) * x).coeffs)]
+    return cases
+
+
+@pytest.mark.parametrize("m", [1 << k for k in range(1, 12)])
+def test_one_product_per_tower_step(monkeypatch, m):
+    """_halve on halving_cases against the two-squares reference and
+    galois_halving.  A dense x (nx^2 >= 8m) packs once, for its one
+    big-integer product, and calls neither _wrapped nor _kronecker; a
+    sparse x makes one _wrapped call, which stays on the double loop."""
+    calls = []
+
+    def spy(name, f):
+        def wrapper(*args):
+            calls.append(name)
+            return f(*args)
+
+        return wrapper
+
+    for name in ("_pack", "_wrapped", "_kronecker"):
+        monkeypatch.setattr(cyclotomic, name, spy(name, getattr(cyclotomic, name)))
+    branches = set()
+    for c in halving_cases(m):
+        nx = m - c.count(0)
+        expected = two_squares_halving(c)
+        assert galois_halving(c) == expected
+        calls.clear()
+        assert cyclotomic._halve(c) == expected
+        dense = nx * nx >= DENSE_RULE * m
+        assert calls == (["_pack"] if dense else ["_wrapped"])
+        branches.add(dense)
+    assert branches == ({False, True} if m >= 8 else {False})
+
+
+def test_square_scans_its_operand_once(monkeypatch):
+    """_slots(x, x, k) equals _slots(x, list(x), k), and a spy on the
+    module's max sees one width scan for the square and two for the
+    product: on a single nonzero, all entries +-(2^k - 1), mixed signs and
+    a 200-bit entry among zeros.  A dense tower step scans once too."""
+    scans = []
+
+    def spy(*args):
+        scans.append(args)
+        return builtins.max(*args)
+
+    monkeypatch.setattr(cyclotomic, "max", spy, raising=False)
+    rng = random.Random(33)
+    for m in (2, 8, 64, 512):
+        single = [0] * m
+        single[rng.randrange(m)] = rng.choice((-1, 1)) * rng.randint(1, (1 << 40) - 1)
+        wide = [0] * m
+        wide[rng.randrange(m)] = -((1 << 200) - 1)
+        vectors = [single, wide]
+        for k in (1, 17, 64):
+            top = (1 << k) - 1
+            mixed = [rng.choice((-1, 1)) * rng.randint(0, top) for _ in range(m)]
+            vectors += [[top] * m, [-top] * m, mixed]
+        for x in vectors:
+            for overlap in (1, m):
+                scans.clear()
+                square = cyclotomic._slots(x, x, overlap)
+                assert len(scans) == 1
+                assert square == cyclotomic._slots(x, list(x), overlap)
+                assert len(scans) == 3
+        if m >= 8:
+            scans.clear()
+            dense = [(1 << 64) - 1] * m
+            assert cyclotomic._halve(dense) == two_squares_halving(dense)
+            assert len(scans) == 1
 
 
 def conjugate_route(x: CycInt) -> CycInt:
