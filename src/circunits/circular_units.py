@@ -141,8 +141,11 @@ def parse_word(level: Level, text: str) -> UnitWord:
 
 @lru_cache(maxsize=None)
 def _d_power(n: int, e: int) -> CycInt:
-    """d_1^e, e > 0: d_j^e is its Galois image sigma_j(d_1^e), so one power
-    per exponent serves every index."""
+    """d_1^e: d_j^e is its Galois image sigma_j(d_1^e), so one power per
+    exponent serves every index.  A negative e is the inverse of the cached
+    d_1^(-e), so each (level, exponent) descends the tower once."""
+    if e < 0:
+        return _d_power(n, -e).invert_unit()
     return seq_d(Level(n), 1) ** e
 
 
@@ -159,6 +162,13 @@ def eval_word(w: UnitWord) -> CycInt:
     if below:
         value = _divide(value, reduce(mul, below).coeffs)
     return CycInt(w.level, tuple(value), known_unit=True)
+
+
+def _galois_product(w: UnitWord) -> CycInt:
+    """The value of a word of d-factors only, no alpha power, with no
+    division: one product of the Galois images of cached d_1 powers, the
+    inverses among them included.  It pays where words share exponents."""
+    return reduce(mul, [_d_power(w.level.n, e).galois(j) for j, e in w.d_exps])
 
 
 # ---------------------------------------------------------------------- #

@@ -17,7 +17,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 
-from .circular_units import UnitWord, eval_word
+from .circular_units import UnitWord, _galois_product
 from .cyclotomic import Level
 from .errors import (
     DisagreementError,
@@ -51,8 +51,9 @@ __all__ = [
 ]
 
 # The exhaustive count covers all products of the first 16 coset generators
-# (all generators for n <= 7) from the subset products of each half; up to
-# n = 7 every class is also recomputed by exact evaluation.
+# (all generators for n <= 7) from the subset products of each half.  Up to
+# n = 7 every class is also recomputed in Z[alpha] by _galois_product, one
+# cached inverse per exponent, where one-shot words take eval_word's division.
 WALK_GENERATORS = 16
 EXACT_CHECK_MAX_N = 7
 
@@ -402,7 +403,7 @@ def verify_main_theorem(level: Level) -> Certificate:
                 "plus an element of (1 + alpha)^(m/2) mod 2"
             )
         coords = special_mod2_from_parities(level, mask)
-        if n <= EXACT_CHECK_MAX_N and special_mod2(eval_word(lw.word)) != coords:
+        if n <= EXACT_CHECK_MAX_N and special_mod2(_galois_product(lw.word)) != coords:
             raise InternalInconsistency(
                 f"{lw.label}: parity-ring class disagrees with exact evaluation"
             )

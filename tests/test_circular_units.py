@@ -250,12 +250,13 @@ def test_eval_word_against_per_factor_route(monkeypatch, n):
 @pytest.mark.parametrize("n", range(3, 11))
 def test_d_power_galois_images_are_the_d_j_powers(n):
     """sigma_j(d_1^e) = d_j^e for odd j, inside the generator set and
-    outside it (d_(2^n - j) = d_j, and j past 2^(n-1)), for e = 1..40."""
+    outside it (d_(2^n - j) = d_j, and j past 2^(n-1)), for e = 1..40 and
+    for the cached inverses, e = -40..-1."""
     lv = Level(n)
     rng = random.Random(700 + n)
     indices = d_index_set(lv)
     js = {1, indices[-1], rng.choice(indices), lv.degree + 1, lv.order - 3}
-    for e in range(1, 41):
+    for e in [*range(-40, 0), *range(1, 41)]:
         for j in sorted(js):
             assert circular_units._d_power(n, e).galois(j) == seq_d(lv, j) ** e, (j, e)
 

@@ -31,7 +31,7 @@ from circunits import (
     verify_main_theorem,
     word_mod2,
 )
-from circunits import congruence
+from circunits import circular_units, congruence
 from circunits.cli import main
 from circunits.errors import IndexOutOfRange
 from circunits.gf2 import cyc_mul_f2, cyc_pow_f2, gf2_rank, pack_bits
@@ -640,6 +640,52 @@ def test_class_moved_inside_one_plus_v_reaches_the_later_checks(
         flip = r_1 if got["label"] == target.label else 0
         assert int(got["coords_hex"], 16) == int(want["coords_hex"], 16) ^ flip
     assert code == (0 if data["verdict"] == "trivial_only" else 2)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_exact_cross_check_value_is_the_word_value(n):
+    # the verifier's division-free product and eval_word's one division
+    # give the same element for every coset generator
+    for lw in generator_system(Level(n)).sqrt_gens:
+        assert circular_units._galois_product(lw.word) == eval_word(lw.word), lw.label
+
+
+def test_exact_cross_check_inverts_once_per_exponent(monkeypatch):
+    # from a cold cache, n = 7 inverts d_1^e for e = 1, 2, 4, 8 and nothing
+    # else, and evaluates no word through eval_word
+    circular_units._d_power.cache_clear()
+    inverted = []
+    invert_unit = CycInt.invert_unit
+
+    def counting(x):
+        inverted.append(x)
+        return invert_unit(x)
+
+    def refused(w):
+        raise AssertionError(f"eval_word({w.render()}) on the verifier's path")
+
+    monkeypatch.setattr(CycInt, "invert_unit", counting)
+    monkeypatch.setattr(circular_units, "eval_word", refused)
+    monkeypatch.setattr(congruence, "eval_word", refused, raising=False)
+    lv = Level(7)
+    assert verify_main_theorem(lv).trivial_only
+    assert inverted == [seq_d(lv, 1) ** e for e in (8, 4, 2, 1)]
+
+
+def test_cli_exits_3_when_a_cached_inverse_is_wrong(monkeypatch, capsys):
+    # d_1^(-1) replaced by d_1^(-2), still a real unit: q(1, j)'s exact
+    # value moves to another class mod 2
+    real = circular_units._d_power
+    monkeypatch.setattr(
+        circular_units, "_d_power", lambda n, e: real(n, -2 if e == -1 else e)
+    )
+    assert main(["verify", "--n", "6"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "internal disagreement: q(1,1): parity-ring class disagrees with "
+        "exact evaluation"
+    ]
 
 
 def test_word_parities_checks_the_order_premise(monkeypatch):
