@@ -9,12 +9,11 @@ exact ring element is always available.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections.abc import Mapping
 from functools import lru_cache, reduce
 from operator import mul
-from typing import Mapping
 
-from .cyclotomic import CycInt, Level, _divide
+from .cyclotomic import CycInt, Level, _Frozen, _divide
 from .errors import IndexOutOfRange, LevelMismatch
 from .real_basis import seq_d
 
@@ -32,29 +31,40 @@ def d_index_set(level: Level) -> tuple[int, ...]:
     return tuple(range(1, level.degree - 2, 2))
 
 
-@dataclass(frozen=True, slots=True)
-class UnitWord:
+class UnitWord(_Frozen):
     """Formal product alpha^a * prod d_j^{e_j} with j in the generator set."""
 
-    level: Level
-    alpha_exp: int
-    d_exps: tuple[tuple[int, int], ...]
+    __slots__ = ("level", "alpha_exp", "d_exps")
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.alpha_exp < self.level.order:
+    def __init__(
+        self, level: Level, alpha_exp: int, d_exps: tuple[tuple[int, int], ...]
+    ) -> None:
+        if not 0 <= alpha_exp < level.order:
             raise ValueError("alpha exponent must be stored reduced; use make()")
-        allowed_max = self.level.degree - 3
+        allowed_max = level.degree - 3
         last = 0
-        for j, e in self.d_exps:
+        for j, e in d_exps:
             if j % 2 == 0 or not 1 <= j <= allowed_max:
                 raise IndexOutOfRange(
-                    f"d-index {j} outside the generator set at n={self.level.n}"
+                    f"d-index {j} outside the generator set at n={level.n}"
                 )
             if j <= last:
                 raise ValueError("d-exponents must be sorted by index")
             if e == 0:
                 raise ValueError("zero exponents must be dropped; use make()")
             last = j
+        object.__setattr__(self, "level", level)
+        object.__setattr__(self, "alpha_exp", alpha_exp)
+        object.__setattr__(self, "d_exps", d_exps)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.level, self.alpha_exp, self.d_exps) == (
+            other.level, other.alpha_exp, other.d_exps
+        )
+
+    __hash__ = _Frozen.__hash__
 
     @classmethod
     def make(
@@ -167,8 +177,10 @@ def eval_word(w: UnitWord) -> CycInt:
 def _galois_product(w: UnitWord) -> CycInt:
     """The value of a word of d-factors only, no alpha power, with no
     division: one product of the Galois images of cached d_1 powers, the
-    inverses among them included.  It pays where words share exponents."""
-    return reduce(mul, [_d_power(w.level.n, e).galois(j) for j, e in w.d_exps])
+    inverses among them included.  It pays where words share exponents.
+    Each factor has norm 1, so the value is marked known_unit."""
+    value = reduce(mul, [_d_power(w.level.n, e).galois(j) for j, e in w.d_exps])
+    return CycInt(w.level, value.coeffs, known_unit=True)
 
 
 # ---------------------------------------------------------------------- #

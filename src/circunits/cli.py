@@ -20,7 +20,8 @@ import contextlib
 import json
 import os
 import sys
-from typing import Iterator, Sequence, TextIO
+from collections.abc import Iterator, Sequence
+from io import TextIOBase
 
 from .circular_units import eval_word, parse_word
 from .congruence import (
@@ -58,7 +59,7 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # type: ignore[override]
         raise _UsageError(message)
 
-    def _print_message(self, message: str, file: TextIO | None = None) -> None:
+    def _print_message(self, message: str, file: TextIOBase | None = None) -> None:
         # argparse drops an OSError here, so --help and --version would exit
         # 0 having printed nothing; main reports it instead
         if message:
@@ -66,7 +67,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 @contextlib.contextmanager
-def _open_json(path: str | None) -> Iterator[TextIO]:
+def _open_json(path: str | None) -> Iterator[TextIOBase]:
     """The --json target, opened before any work so that a failed run leaves
     an empty file rather than a stale document; stdout without --json.  A
     target that cannot be opened, written or closed is a usage error."""
@@ -81,7 +82,7 @@ def _open_json(path: str | None) -> Iterator[TextIO]:
         yield out
 
 
-def _dump(document, out: TextIO) -> None:
+def _dump(document, out: TextIOBase) -> None:
     """Write one JSON document; a --json target is closed here, so errors name it."""
     try:
         print(json.dumps(document, indent=2), file=out)
@@ -108,7 +109,7 @@ def _levels(n: int | None) -> list[Level]:
 # subcommands
 
 
-def _cmd_verify(args: argparse.Namespace, out: TextIO) -> int:
+def _cmd_verify(args: argparse.Namespace, out: TextIOBase) -> int:
     certificates = []
     all_trivial = True
     for level in _levels(args.n):
@@ -126,7 +127,7 @@ def _cmd_verify(args: argparse.Namespace, out: TextIO) -> int:
     return 0 if all_trivial else 2
 
 
-def _cmd_tables(args: argparse.Namespace, out: TextIO) -> int:
+def _cmd_tables(args: argparse.Namespace, out: TextIOBase) -> int:
     level = _level_arg(args.n)
     s_tokens = s_table_tokens(level)
     r_tokens = r_table_tokens(level)
@@ -150,7 +151,7 @@ def _labeled_word_dict(lw) -> dict:
     }
 
 
-def _cmd_funnel(args: argparse.Namespace, out: TextIO) -> int:
+def _cmd_funnel(args: argparse.Namespace, out: TextIOBase) -> int:
     level = _level_arg(args.n)
     partition = build_partition(level)
     system = generator_system(level)
@@ -186,7 +187,7 @@ def _check_word_size(word, bits: int) -> None:
         )
 
 
-def _cmd_unit(args: argparse.Namespace, out: TextIO) -> int:
+def _cmd_unit(args: argparse.Namespace, out: TextIOBase) -> int:
     level = _level_arg(args.n)
     try:
         word = parse_word(level, args.word)
@@ -234,7 +235,7 @@ def _print_check_lines(n: int, checks: Sequence[dict]) -> None:
         print(f"[n={n}] {status} {c['name']}{where}: {c['lhs']} == {c['rhs']}")
 
 
-def _cmd_identities(args: argparse.Namespace, out: TextIO) -> int:
+def _cmd_identities(args: argparse.Namespace, out: TextIOBase) -> int:
     reports = []
     ok = True
     for level in _levels(args.n):

@@ -15,10 +15,9 @@ from __future__ import annotations
 
 import time
 from collections import Counter
-from dataclasses import dataclass
 
 from .circular_units import UnitWord, _galois_product
-from .cyclotomic import Level
+from .cyclotomic import Level, _Frozen
 from .errors import (
     DisagreementError,
     EvenGaloisIndex,
@@ -252,17 +251,17 @@ def galois_transport_check(level: Level) -> dict:
 # the main theorem
 
 
-@dataclass(frozen=True, slots=True)
-class F2System:
+class F2System(_Frozen):
     """Rank and nullity of the linearized membership system, whose columns
     are the coset-generator classes without their constant term."""
 
-    rank: int
-    nullity: int
+    __slots__ = ("rank", "nullity")
+
+    def __init__(self, rank: int, nullity: int) -> None:
+        self._set(rank, nullity)
 
 
-@dataclass(frozen=True, slots=True)
-class Certificate:
+class Certificate(_Frozen):
     """Replayable record of one main-theorem verification run.
 
     The JSON form states each fact once: a class by its coords_hex, and the
@@ -271,16 +270,30 @@ class Certificate:
     transpose into the rows of the GF(2) system, is rendered for the document.
     """
 
-    level: Level
-    generators: tuple[SpecialCoordsMod2, ...]
-    generator_labels: tuple[str, ...]
-    system: F2System
-    method: str
-    exhaustive_assignments: int
-    exhaustive_kernel_size: int
-    odd_r_subsystem: dict | None
-    trivial_only: bool
-    elapsed_ms: float
+    __slots__ = (
+        "level", "generators", "generator_labels", "system", "method",
+        "exhaustive_assignments", "exhaustive_kernel_size", "odd_r_subsystem",
+        "trivial_only", "elapsed_ms",
+    )
+
+    def __init__(
+        self,
+        level: Level,
+        generators: tuple[SpecialCoordsMod2, ...],
+        generator_labels: tuple[str, ...],
+        system: F2System,
+        method: str,
+        exhaustive_assignments: int,
+        exhaustive_kernel_size: int,
+        odd_r_subsystem: dict | None,
+        trivial_only: bool,
+        elapsed_ms: float,
+    ) -> None:
+        self._set(
+            level, generators, generator_labels, system, method,
+            exhaustive_assignments, exhaustive_kernel_size, odd_r_subsystem,
+            trivial_only, elapsed_ms,
+        )
 
     def to_json_dict(self, include_timing: bool = False) -> dict:
         n = self.level.n

@@ -25,12 +25,11 @@ level down; the inverse is the case p = 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Sequence
 from functools import lru_cache
 from itertools import chain, repeat
 from operator import add, mul, neg, sub
 from struct import iter_unpack
-from typing import Iterable, Sequence
 
 from .errors import EvenGaloisIndex, LevelMismatch, NotAUnit
 
@@ -40,19 +39,64 @@ MIN_LEVEL = 3
 MAX_LEVEL = 12
 
 
-@dataclass(frozen=True, slots=True)
-class Level:
+class _Frozen:
+    """Base of the package's value types: immutable instances whose fields
+    are the names in __slots__, set once in __init__ by object.__setattr__.
+    ==, hash, repr, copy and pickle go over the fields in order.  A type
+    built on hot paths writes its __init__ and __eq__ out; defining __eq__
+    drops the inherited __hash__, so such a type restates it."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _set(self, *values: object) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values()
+
+
+class Level(_Frozen):
     """The parameter n of the ring Z[alpha], alpha^(2^n) = 1 primitively."""
 
-    n: int
+    __slots__ = ("n",)
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.n, int):
-            raise TypeError(f"level must be an int, got {type(self.n).__name__}")
-        if not MIN_LEVEL <= self.n <= MAX_LEVEL:
+    def __init__(self, n: int) -> None:
+        if not isinstance(n, int):
+            raise TypeError(f"level must be an int, got {type(n).__name__}")
+        if not MIN_LEVEL <= n <= MAX_LEVEL:
             raise ValueError(
-                f"level n must satisfy {MIN_LEVEL} <= n <= {MAX_LEVEL}, got {self.n}"
+                f"level n must satisfy {MIN_LEVEL} <= n <= {MAX_LEVEL}, got {n}"
             )
+        object.__setattr__(self, "n", n)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.n == other.n
+
+    __hash__ = _Frozen.__hash__
 
     @property
     def order(self) -> int:
@@ -244,23 +288,37 @@ def _check_same_level(a: CycInt, b: CycInt) -> None:
         raise LevelMismatch(f"levels differ: n={a.level.n} vs n={b.level.n}")
 
 
-@dataclass(frozen=True, slots=True)
-class CycInt:
+class CycInt(_Frozen):
     """An element of Z[alpha] in reduced form: coeffs[j] is the coefficient
-    of alpha^j for 0 <= j < 2^(n-1).  Only eval_word sets known_unit (norm
-    1); ==, hash and repr ignore it, and no operation passes it on.
+    of alpha^j for 0 <= j < 2^(n-1).  Only word values, from eval_word and
+    _galois_product, set known_unit (norm 1); ==, hash and repr ignore
+    it, and no operation passes it on.
     """
 
-    level: Level
-    coeffs: tuple[int, ...]
-    known_unit: bool = field(default=False, compare=False, repr=False)
+    __slots__ = ("level", "coeffs", "known_unit")
 
-    def __post_init__(self) -> None:
-        if len(self.coeffs) != self.level.degree:
+    def __init__(
+        self, level: Level, coeffs: tuple[int, ...], known_unit: bool = False
+    ) -> None:
+        if len(coeffs) != level.degree:
             raise ValueError(
-                f"need {self.level.degree} coefficients at n={self.level.n}, "
-                f"got {len(self.coeffs)}"
+                f"need {level.degree} coefficients at n={level.n}, "
+                f"got {len(coeffs)}"
             )
+        object.__setattr__(self, "level", level)
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "known_unit", known_unit)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.level, self.coeffs) == (other.level, other.coeffs)
+
+    def __hash__(self) -> int:
+        return hash((self.level, self.coeffs))
+
+    def __repr__(self) -> str:
+        return f"CycInt(level={self.level!r}, coeffs={self.coeffs!r})"
 
     # ------------------------------------------------------------------ #
     # constructors

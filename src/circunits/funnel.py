@@ -11,10 +11,8 @@ coset generators when it is read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .circular_units import UnitWord, d_index_set
-from .cyclotomic import Level
+from .cyclotomic import Level, _Frozen
 from .errors import IndexNotInPartition, LevelTooSmall
 
 __all__ = [
@@ -31,13 +29,18 @@ __all__ = [
 CERTIFIED_LEVELS = range(4, 8)
 
 
-@dataclass(frozen=True, slots=True)
-class FunnelPartition:
+class FunnelPartition(_Frozen):
     """The chain A_0 > A_1 > ... > A_{n-3} and the difference sets B_k."""
 
-    level: Level
-    A_sets: tuple[tuple[int, ...], ...]
-    B_sets: tuple[tuple[int, ...], ...]
+    __slots__ = ("level", "A_sets", "B_sets")
+
+    def __init__(
+        self,
+        level: Level,
+        A_sets: tuple[tuple[int, ...], ...],
+        B_sets: tuple[tuple[int, ...], ...],
+    ) -> None:
+        self._set(level, A_sets, B_sets)
 
 
 def build_partition(level: Level) -> FunnelPartition:
@@ -73,19 +76,31 @@ def q_word(level: Level, k: int, j: int) -> UnitWord:
     return UnitWord.make(level, 0, {j: -1, mirror: 1})
 
 
-@dataclass(frozen=True, slots=True)
-class LabeledWord:
+class LabeledWord(_Frozen):
     """A generator with its provenance: funnel step k, index j, outer exponent."""
 
-    label: str
-    k: int | None
-    j: int
-    exponent: int
-    word: UnitWord
+    __slots__ = ("label", "k", "j", "exponent", "word")
+
+    def __init__(
+        self, label: str, k: int | None, j: int, exponent: int, word: UnitWord
+    ) -> None:
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "j", j)
+        object.__setattr__(self, "exponent", exponent)
+        object.__setattr__(self, "word", word)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.label, self.k, self.j, self.exponent, self.word) == (
+            other.label, other.k, other.j, other.exponent, other.word
+        )
+
+    __hash__ = _Frozen.__hash__
 
 
-@dataclass(frozen=True, slots=True)
-class GeneratorSystem:
+class GeneratorSystem(_Frozen):
     """Coset generators of sqrt(F)/F in fixed order, and the generators of F.
 
     Ordering: the d_1 head power first, then the q(k, .) blocks with k
@@ -94,8 +109,10 @@ class GeneratorSystem:
     f_gens builds that list each time it is read.
     """
 
-    level: Level
-    sqrt_gens: tuple[LabeledWord, ...]
+    __slots__ = ("level", "sqrt_gens")
+
+    def __init__(self, level: Level, sqrt_gens: tuple[LabeledWord, ...]) -> None:
+        self._set(level, sqrt_gens)
 
     @property
     def f_gens(self) -> tuple[LabeledWord, ...]:

@@ -9,12 +9,11 @@ bridge between the congruence subgroup E and group-ring units.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import repeat
 from operator import add, rshift, sub
 
-from .circular_units import eval_word
-from .cyclotomic import CycInt, Level, _require_unit, _wrapped
+from .circular_units import _galois_product
+from .cyclotomic import CycInt, Level, _Frozen, _require_unit, _wrapped
 from .errors import InternalInconsistency, LevelMismatch, LevelTooSmall, NotIntegral
 from .funnel import CERTIFIED_LEVELS, generator_system
 from .gf2 import pack_bits
@@ -29,19 +28,26 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class GroupRingElt:
+class GroupRingElt(_Frozen):
     """Element of Z[C_{2^n}]; coeffs[j] is the coefficient of x^j."""
 
-    level: Level
-    coeffs: tuple[int, ...]
+    __slots__ = ("level", "coeffs")
 
-    def __post_init__(self) -> None:
-        if len(self.coeffs) != self.level.order:
+    def __init__(self, level: Level, coeffs: tuple[int, ...]) -> None:
+        if len(coeffs) != level.order:
             raise ValueError(
-                f"need {self.level.order} coefficients at n={self.level.n}, "
-                f"got {len(self.coeffs)}"
+                f"need {level.order} coefficients at n={level.n}, "
+                f"got {len(coeffs)}"
             )
+        object.__setattr__(self, "level", level)
+        object.__setattr__(self, "coeffs", coeffs)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.level, self.coeffs) == (other.level, other.coeffs)
+
+    __hash__ = _Frozen.__hash__
 
     @classmethod
     def identity(cls, level: Level) -> GroupRingElt:
@@ -143,18 +149,23 @@ def is_admissible(beta: CycInt) -> bool:
     return beta.is_real() and pack_bits(beta.coeffs) == 1
 
 
-@dataclass(frozen=True, slots=True)
-class V1Report:
+class V1Report(_Frozen):
     """Images of the F generators, with the torsion part of W_1 alongside.
 
     W_1 splits as the group generated by x^(2^(n-1)) times V_1; only the
     circular-unit slice of V_1 is constructed here.
     """
 
-    level: Level
-    labels: tuple[str, ...]
-    images: tuple[GroupRingElt, ...]
-    torsion_generator: GroupRingElt
+    __slots__ = ("level", "labels", "images", "torsion_generator")
+
+    def __init__(
+        self,
+        level: Level,
+        labels: tuple[str, ...],
+        images: tuple[GroupRingElt, ...],
+        torsion_generator: GroupRingElt,
+    ) -> None:
+        self._set(level, labels, images, torsion_generator)
 
 
 def v1_generators(level: Level) -> V1Report:
@@ -169,6 +180,6 @@ def v1_generators(level: Level) -> V1Report:
     images = []
     for lw in system.f_gens:
         labels.append(lw.label)
-        images.append(u_chi1(eval_word(lw.word)))
+        images.append(u_chi1(_galois_product(lw.word)))
     torsion = GroupRingElt.x_power(level, level.degree)
     return V1Report(level, tuple(labels), tuple(images), torsion)

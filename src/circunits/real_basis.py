@@ -12,11 +12,10 @@ s-coordinate and the r-block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
 
-from .cyclotomic import CycInt, Level
+from .cyclotomic import CycInt, Level, _Frozen
 from .errors import InternalInconsistency, NotReal
 from .gf2 import pack_bits, unpack_bits
 
@@ -90,20 +89,27 @@ def _position_labels(n: int) -> tuple[str, ...]:
     )
 
 
-@dataclass(frozen=True, slots=True)
-class SpecialCoordsMod2:
+class SpecialCoordsMod2(_Frozen):
     """B-coordinates reduced mod 2, packed into an int: bit p is the
     coordinate at position p, for the 2^(n-2) positions of B."""
 
-    level: Level
-    mask: int
+    __slots__ = ("level", "mask")
 
-    def __post_init__(self) -> None:
-        width = 1 << (self.level.n - 2)
-        if not 0 <= self.mask < 1 << width:
+    def __init__(self, level: Level, mask: int) -> None:
+        width = 1 << (level.n - 2)
+        if not 0 <= mask < 1 << width:
             raise ValueError(
-                f"need a mask of {width} bits at n={self.level.n}, got {self.mask:#x}"
+                f"need a mask of {width} bits at n={level.n}, got {mask:#x}"
             )
+        object.__setattr__(self, "level", level)
+        object.__setattr__(self, "mask", mask)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.level, self.mask) == (other.level, other.mask)
+
+    __hash__ = _Frozen.__hash__
 
     def is_one(self) -> bool:
         """True iff the class is the class of 1."""

@@ -35,7 +35,7 @@ from circunits import (
     v1_generators,
     word_mod2,
 )
-from circunits import group_ring
+from circunits import circular_units, group_ring
 from test_cyclotomic import KERNEL_KINDS, kernel_counts, kernel_operands, ref_linear
 from test_golden_exact import V1_DIGEST_N7, v1_digest
 
@@ -397,6 +397,40 @@ def test_v1_generators_compute_no_norm(monkeypatch):
     calls = norm_spy(monkeypatch)
     report = v1_generators(Level(7))
     assert calls == []
+    assert v1_digest(report) == V1_DIGEST_N7
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_v1_images_equal_the_eval_word_route(n):
+    lv = Level(n)
+    report = v1_generators(lv)
+    words = [lw.word for lw in generator_system(lv).f_gens]
+    assert report.images == tuple(u_chi1(eval_word(w)) for w in words)
+
+
+def test_v1_generators_invert_once_per_exponent(monkeypatch):
+    # from a cold cache, d_1^e is inverted once for each negative exponent
+    # -e of F's generator words, in the order the words first use it, and
+    # no word goes through eval_word
+    circular_units._d_power.cache_clear()
+    inverted = []
+    invert_unit = CycInt.invert_unit
+
+    def counting(x):
+        inverted.append(x)
+        return invert_unit(x)
+
+    def refused(w):
+        raise AssertionError(f"eval_word({w.render()}) on the V_1 path")
+
+    monkeypatch.setattr(CycInt, "invert_unit", counting)
+    monkeypatch.setattr(circular_units, "eval_word", refused)
+    lv = Level(7)
+    report = v1_generators(lv)
+    gens = generator_system(lv).f_gens
+    negative = dict.fromkeys(-e for lw in gens for _, e in lw.word.d_exps if e < 0)
+    assert list(negative) == [16, 8, 4, 2, 1]
+    assert inverted == [seq_d(lv, 1) ** e for e in negative]
     assert v1_digest(report) == V1_DIGEST_N7
 
 
