@@ -39,11 +39,16 @@ class UnitWord(_Frozen):
     def __init__(
         self, level: Level, alpha_exp: int, d_exps: tuple[tuple[int, int], ...]
     ) -> None:
+        if not isinstance(alpha_exp, int):
+            shown = type(alpha_exp).__name__
+            raise TypeError(f"alpha exponent must be an int, got {shown}")
         if not 0 <= alpha_exp < level.order:
             raise ValueError("alpha exponent must be stored reduced; use make()")
         allowed_max = level.degree - 3
         last = 0
         for j, e in d_exps:
+            if not isinstance(e, int):
+                raise TypeError(f"d-exponent must be an int, got {type(e).__name__}")
             if j % 2 == 0 or not 1 <= j <= allowed_max:
                 raise IndexOutOfRange(
                     f"d-index {j} outside the generator set at n={level.n}"
@@ -56,15 +61,6 @@ class UnitWord(_Frozen):
         object.__setattr__(self, "level", level)
         object.__setattr__(self, "alpha_exp", alpha_exp)
         object.__setattr__(self, "d_exps", d_exps)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.level, self.alpha_exp, self.d_exps) == (
-            other.level, other.alpha_exp, other.d_exps
-        )
-
-    __hash__ = _Frozen.__hash__
 
     @classmethod
     def make(
@@ -93,6 +89,8 @@ class UnitWord(_Frozen):
         return self.alpha_exp == 0
 
     def __mul__(self, other: UnitWord) -> UnitWord:
+        if other.__class__ is not UnitWord:
+            return NotImplemented
         if self.level != other.level:
             raise LevelMismatch("cannot multiply words at different levels")
         exps = self.d_exp_map

@@ -90,15 +90,6 @@ class LabeledWord(_Frozen):
         object.__setattr__(self, "exponent", exponent)
         object.__setattr__(self, "word", word)
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.label, self.k, self.j, self.exponent, self.word) == (
-            other.label, other.k, other.j, other.exponent, other.word
-        )
-
-    __hash__ = _Frozen.__hash__
-
 
 class GeneratorSystem(_Frozen):
     """Coset generators of sqrt(F)/F in fixed order, and the generators of F.

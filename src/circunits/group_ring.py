@@ -42,13 +42,6 @@ class GroupRingElt(_Frozen):
         object.__setattr__(self, "level", level)
         object.__setattr__(self, "coeffs", coeffs)
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.level, self.coeffs) == (other.level, other.coeffs)
-
-    __hash__ = _Frozen.__hash__
-
     @classmethod
     def identity(cls, level: Level) -> GroupRingElt:
         return cls.x_power(level, 0)

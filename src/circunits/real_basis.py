@@ -104,13 +104,6 @@ class SpecialCoordsMod2(_Frozen):
         object.__setattr__(self, "level", level)
         object.__setattr__(self, "mask", mask)
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.level, self.mask) == (other.level, other.mask)
-
-    __hash__ = _Frozen.__hash__
-
     def is_one(self) -> bool:
         """True iff the class is the class of 1."""
         return self.mask == 1

@@ -321,6 +321,31 @@ def test_word_mul_level_mismatch():
         UnitWord.identity(Level(4)) * UnitWord.identity(Level(5))
 
 
+@pytest.mark.parametrize("other", [3, 1.0, None, CycInt.one(Level(4))])
+def test_word_mul_by_a_foreign_operand_raises_type_error(other):
+    with pytest.raises(TypeError, match="unsupported operand"):
+        UnitWord.identity(Level(4)) * other
+
+
+def test_word_exponents_must_be_ints():
+    lv = Level(4)
+    d1 = UnitWord.make(lv, 0, {1: 1})
+    for build in (
+        lambda: UnitWord.identity(lv) ** 2.0,
+        lambda: UnitWord.make(lv, 1.0),
+        lambda: UnitWord(lv, 0.0, ()),
+    ):
+        with pytest.raises(TypeError, match="alpha exponent must be an int, got float"):
+            build()
+    for build in (
+        lambda: UnitWord.make(lv, 0, {1: 0.5}),
+        lambda: UnitWord(lv, 0, ((1, 2.0),)),
+    ):
+        with pytest.raises(TypeError, match="d-exponent must be an int, got float"):
+            build()
+    assert d1 ** 2 == UnitWord(lv, 0, ((1, 2),))
+
+
 def test_word_render_and_parse():
     lv = Level(5)
     w = UnitWord.make(lv, 3, {1: -2, 7: 2, 9: 1})

@@ -6,8 +6,10 @@ oracle here.
 """
 
 import builtins
+import operator
 import random
 import sys
+from fractions import Fraction
 from math import isqrt
 
 import pytest
@@ -539,6 +541,25 @@ def test_level_mismatch_rejected():
         a * b
     with pytest.raises(LevelMismatch):
         a - b
+
+
+@pytest.mark.parametrize("other", [2, 1.5, None, UnitWord.identity(Level(4))])
+def test_foreign_operands_raise_type_error(other):
+    x = CycInt.one(Level(4))
+    for op in (operator.add, operator.sub, operator.mul):
+        with pytest.raises(TypeError, match="unsupported operand"):
+            op(x, other)
+    assert 2 * x == x + x
+
+
+@pytest.mark.parametrize("scalar", [0.5, 2.0, Fraction(1, 2), 1j])
+def test_non_integer_scalars_never_enter_the_ring(scalar):
+    """Nothing here ever rounds: a scalar that is not an int is refused,
+    not spread over the coefficients."""
+    d = seq_d(Level(4), 1)
+    with pytest.raises(TypeError, match="unsupported operand"):
+        scalar * d
+    assert (-3 * d).coeffs == tuple(-3 * c for c in d.coeffs)
 
 
 # ---------------------------------------------------------------------- #

@@ -238,6 +238,13 @@ def test_missing_and_surplus_arguments_raise_type_error():
         UnitWord(level=L4, alpha=0, d_exps=())
 
 
+def test_only_cycint_writes_its_own_eq_and_hash():
+    """One ==/hash path: every value type takes both from the shared base
+    but CycInt, whose known_unit mark stays out of them."""
+    own = [cls for cls, *_ in CASES if {"__eq__", "__hash__"} & cls.__dict__.keys()]
+    assert own == [CycInt]
+
+
 # ---------------------------------------------------------------------- #
 # the import graph
 
