@@ -47,6 +47,8 @@ class UnitWord(_Frozen):
         allowed_max = level.degree - 3
         last = 0
         for j, e in d_exps:
+            if not isinstance(j, int):
+                raise TypeError(f"d-index must be an int, got {type(j).__name__}")
             if not isinstance(e, int):
                 raise TypeError(f"d-exponent must be an int, got {type(e).__name__}")
             if j % 2 == 0 or not 1 <= j <= allowed_max:

@@ -50,11 +50,10 @@ __all__ = [
 ]
 
 # The exhaustive count covers all products of the first 16 coset generators
-# (all generators for n <= 7) from the subset products of each half.  Up to
-# n = 7 every class is also recomputed in Z[alpha] by _galois_product, one
-# cached inverse per exponent, where one-shot words take eval_word's division.
+# (all generators for n <= 7) from the subset products of each half.  On
+# CERTIFIED_LEVELS each class is also recomputed in Z[alpha] by _galois_product,
+# one cached inverse per exponent (one-shot words take eval_word's division).
 WALK_GENERATORS = 16
-EXACT_CHECK_MAX_N = 7
 
 
 def _word_parities(w: UnitWord, j: int = 1) -> int:
@@ -257,12 +256,10 @@ class F2System(_Frozen):
 
     __slots__ = ("rank", "nullity")
 
-    def __init__(self, rank: int, nullity: int) -> None:
-        self._set(rank, nullity)
-
 
 class Certificate(_Frozen):
-    """Replayable record of one main-theorem verification run.
+    """Replayable record of one main-theorem verification run; generators
+    holds SpecialCoordsMod2 classes, odd_r_subsystem a dict or None (n < 5).
 
     The JSON form states each fact once: a class by its coords_hex, and the
     odd-r block by its rows_hex; its rows_bits, built at n <= 7 only, stays
@@ -275,25 +272,6 @@ class Certificate(_Frozen):
         "exhaustive_assignments", "exhaustive_kernel_size", "odd_r_subsystem",
         "trivial_only", "elapsed_ms",
     )
-
-    def __init__(
-        self,
-        level: Level,
-        generators: tuple[SpecialCoordsMod2, ...],
-        generator_labels: tuple[str, ...],
-        system: F2System,
-        method: str,
-        exhaustive_assignments: int,
-        exhaustive_kernel_size: int,
-        odd_r_subsystem: dict | None,
-        trivial_only: bool,
-        elapsed_ms: float,
-    ) -> None:
-        self._set(
-            level, generators, generator_labels, system, method,
-            exhaustive_assignments, exhaustive_kernel_size, odd_r_subsystem,
-            trivial_only, elapsed_ms,
-        )
 
     def to_json_dict(self, include_timing: bool = False) -> dict:
         n = self.level.n
@@ -416,7 +394,7 @@ def verify_main_theorem(level: Level) -> Certificate:
                 "plus an element of (1 + alpha)^(m/2) mod 2"
             )
         coords = special_mod2_from_parities(level, mask)
-        if n <= EXACT_CHECK_MAX_N and special_mod2(_galois_product(lw.word)) != coords:
+        if n in CERTIFIED_LEVELS and special_mod2(_galois_product(lw.word)) != coords:
             raise InternalInconsistency(
                 f"{lw.label}: parity-ring class disagrees with exact evaluation"
             )

@@ -42,9 +42,10 @@ MAX_LEVEL = 12
 class _Frozen:
     """Base of the package's value types: immutable instances whose fields
     are the names in __slots__.  ==, hash, repr, copy and pickle go over the
-    fields in order; == and hash read them through _fields, one
-    operator.attrgetter per class.  Hot constructors write their fields
-    inline: through _set, the verifier's passes ran 7-8 % slower."""
+    fields in order, == and hash through one operator.attrgetter, _fields.
+    Records bind their arguments to the fields in the one constructor below;
+    validating or hot types write theirs inline (a LabeledWord takes about
+    three times as long bound as inline, on x86_64 with Python 3.11)."""
 
     __slots__ = ()
 
@@ -57,9 +58,18 @@ class _Frozen:
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
 
-    def _set(self, *values: object) -> None:
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        kind, names = type(self).__qualname__, self.__slots__
+        if len(args) > len(names):
+            raise TypeError(f"{kind} takes {len(names)} fields, got {len(args)}")
+        for name in kwargs.keys() - names[len(args) :]:
+            problem = "given twice" if name in names else "unknown"
+            raise TypeError(f"{kind} field {name!r} {problem}")
+        values = {**dict(zip(names, args)), **kwargs}
+        for name in names:
+            if name not in values:
+                raise TypeError(f"{kind} field {name!r} missing")
+            object.__setattr__(self, name, values[name])
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -285,7 +295,8 @@ class CycInt(_Frozen):
     """An element of Z[alpha] in reduced form: coeffs[j] is the coefficient
     of alpha^j for 0 <= j < 2^(n-1).  Only word values, from eval_word and
     _galois_product, set known_unit (norm 1); ==, hash and repr ignore
-    it, and no operation passes it on.
+    it, and no operation passes it on.  Its constructor and from_terms leave
+    coefficients unchecked (all package callers pass ints; checks cost time).
     """
 
     __slots__ = ("level", "coeffs", "known_unit")
@@ -326,11 +337,14 @@ class CycInt(_Frozen):
 
     @classmethod
     def from_int(cls, level: Level, value: int) -> CycInt:
-        return cls.from_terms(level, [(0, value)])
+        return cls.monomial(level, 0, value)
 
     @classmethod
     def monomial(cls, level: Level, exponent: int, coeff: int = 1) -> CycInt:
-        """coeff * alpha^exponent for any integer exponent (reduced)."""
+        """coeff * alpha^exponent for any integer exponent (reduced); a coeff
+        that is not an int is refused, as __rmul__ refuses it."""
+        if not isinstance(coeff, int):
+            raise TypeError(f"scalar must be an int, got {type(coeff).__name__}")
         return cls.from_terms(level, [(exponent, coeff)])
 
     @classmethod

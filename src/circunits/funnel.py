@@ -30,17 +30,9 @@ CERTIFIED_LEVELS = range(4, 8)
 
 
 class FunnelPartition(_Frozen):
-    """The chain A_0 > A_1 > ... > A_{n-3} and the difference sets B_k."""
+    """The chain A_0 > ... > A_{n-3} and difference sets B_k, as int tuples."""
 
     __slots__ = ("level", "A_sets", "B_sets")
-
-    def __init__(
-        self,
-        level: Level,
-        A_sets: tuple[tuple[int, ...], ...],
-        B_sets: tuple[tuple[int, ...], ...],
-    ) -> None:
-        self._set(level, A_sets, B_sets)
 
 
 def build_partition(level: Level) -> FunnelPartition:
@@ -92,7 +84,8 @@ class LabeledWord(_Frozen):
 
 
 class GeneratorSystem(_Frozen):
-    """Coset generators of sqrt(F)/F in fixed order, and the generators of F.
+    """sqrt_gens, the coset generators of sqrt(F)/F as LabeledWords in fixed
+    order, and the generators of F.
 
     Ordering: the d_1 head power first, then the q(k, .) blocks with k
     descending and j ascending inside each block.  F is generated by the
@@ -101,9 +94,6 @@ class GeneratorSystem(_Frozen):
     """
 
     __slots__ = ("level", "sqrt_gens")
-
-    def __init__(self, level: Level, sqrt_gens: tuple[LabeledWord, ...]) -> None:
-        self._set(level, sqrt_gens)
 
     @property
     def f_gens(self) -> tuple[LabeledWord, ...]:

@@ -143,22 +143,13 @@ def is_admissible(beta: CycInt) -> bool:
 
 
 class V1Report(_Frozen):
-    """Images of the F generators, with the torsion part of W_1 alongside.
+    """GroupRingElt images of the F generators, with the torsion of W_1.
 
     W_1 splits as the group generated by x^(2^(n-1)) times V_1; only the
     circular-unit slice of V_1 is constructed here.
     """
 
     __slots__ = ("level", "labels", "images", "torsion_generator")
-
-    def __init__(
-        self,
-        level: Level,
-        labels: tuple[str, ...],
-        images: tuple[GroupRingElt, ...],
-        torsion_generator: GroupRingElt,
-    ) -> None:
-        self._set(level, labels, images, torsion_generator)
 
 
 def v1_generators(level: Level) -> V1Report:

@@ -346,6 +346,17 @@ def test_word_exponents_must_be_ints():
     assert d1 ** 2 == UnitWord(lv, 0, ((1, 2),))
 
 
+def test_word_d_indices_must_be_ints():
+    lv = Level(4)
+    for build in (
+        lambda: UnitWord(lv, 0, ((1.0, 2),)),
+        lambda: UnitWord.make(lv, 0, {1.0: 2}),
+    ):
+        with pytest.raises(TypeError, match="d-index must be an int, got float"):
+            build()
+    assert UnitWord(lv, 0, ((1, 2),)).render() == "d1^2"
+
+
 def test_word_render_and_parse():
     lv = Level(5)
     w = UnitWord.make(lv, 3, {1: -2, 7: 2, 9: 1})

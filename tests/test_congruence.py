@@ -34,6 +34,7 @@ from circunits import (
 from circunits import circular_units, congruence
 from circunits.cli import main
 from circunits.errors import IndexOutOfRange
+from circunits.funnel import CERTIFIED_LEVELS
 from circunits.gf2 import cyc_mul_f2, cyc_pow_f2, gf2_rank, pack_bits
 
 
@@ -624,7 +625,7 @@ def test_class_moved_inside_one_plus_v_reaches_the_later_checks(
     target = _move_one_class(monkeypatch, lv, lambda _, mask: mask ^ r_1_mask)
     code = main(["verify", "--n", str(n)])
     captured = capsys.readouterr()
-    if n <= congruence.EXACT_CHECK_MAX_N:
+    if n in CERTIFIED_LEVELS:
         assert code == 3
         assert captured.out == ""
         assert captured.err.splitlines() == [

@@ -562,6 +562,18 @@ def test_non_integer_scalars_never_enter_the_ring(scalar):
     assert (-3 * d).coeffs == tuple(-3 * c for c in d.coeffs)
 
 
+@pytest.mark.parametrize("scalar", [0.5, 2.0, Fraction(1, 2), 1j])
+def test_scalar_constructors_take_only_ints(scalar):
+    lv = Level(4)
+    shown = type(scalar).__name__
+    with pytest.raises(TypeError, match=f"scalar must be an int, got {shown}"):
+        CycInt.from_int(lv, scalar)
+    with pytest.raises(TypeError, match=f"scalar must be an int, got {shown}"):
+        CycInt.monomial(lv, 1, scalar)
+    assert CycInt.from_int(lv, 2).coeffs == (2,) + (0,) * 7
+    assert CycInt.monomial(lv, 9, 3).coeffs == (0, -3) + (0,) * 6
+
+
 # ---------------------------------------------------------------------- #
 # Galois action
 

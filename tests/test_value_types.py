@@ -236,6 +236,14 @@ def test_missing_and_surplus_arguments_raise_type_error():
         CycInt(L4, (0,) * 8, False, 1)
     with pytest.raises(TypeError):
         UnitWord(level=L4, alpha=0, d_exps=())
+    with pytest.raises(TypeError, match="F2System field 'nullity' missing"):
+        F2System(1)
+    with pytest.raises(TypeError, match="F2System field 'rank' given twice"):
+        F2System(1, rank=1)
+    with pytest.raises(TypeError, match="F2System field 'nulity' unknown"):
+        F2System(rank=1, nulity=0)
+    with pytest.raises(TypeError, match="F2System takes 2 fields, got 3"):
+        F2System(1, 0, 0)
 
 
 def test_only_cycint_writes_its_own_eq_and_hash():
@@ -243,6 +251,13 @@ def test_only_cycint_writes_its_own_eq_and_hash():
     but CycInt, whose known_unit mark stays out of them."""
     own = [cls for cls, *_ in CASES if {"__eq__", "__hash__"} & cls.__dict__.keys()]
     assert own == [CycInt]
+
+
+def test_only_the_validating_or_hot_types_write_their_own_init():
+    """One constructor path: the records take the shared base's binder;
+    the types that validate, and LabeledWord, which is hot, write their own."""
+    own = {cls for cls, *_ in CASES if "__init__" in cls.__dict__}
+    assert own == {Level, CycInt, UnitWord, SpecialCoordsMod2, GroupRingElt, LabeledWord}
 
 
 # ---------------------------------------------------------------------- #
