@@ -52,7 +52,8 @@ __all__ = [
 # The exhaustive count covers all products of the first 16 coset generators
 # (all generators for n <= 7) from the subset products of each half.  On
 # CERTIFIED_LEVELS each class is also recomputed in Z[alpha] by _galois_product,
-# one cached inverse per exponent (one-shot words take eval_word's division).
+# whose inverses come from the closed form of d_1^(-1) and its squares, with
+# no division (one-shot words take eval_word's division).
 WALK_GENERATORS = 16
 
 

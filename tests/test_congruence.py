@@ -31,7 +31,7 @@ from circunits import (
     verify_main_theorem,
     word_mod2,
 )
-from circunits import circular_units, congruence
+from circunits import circular_units, congruence, cyclotomic
 from circunits.cli import main
 from circunits.errors import IndexOutOfRange
 from circunits.funnel import CERTIFIED_LEVELS
@@ -651,26 +651,32 @@ def test_exact_cross_check_value_is_the_word_value(n):
         assert circular_units._galois_product(lw.word) == eval_word(lw.word), lw.label
 
 
-def test_exact_cross_check_inverts_once_per_exponent(monkeypatch):
-    # from a cold cache, n = 7 inverts d_1^e for e = 1, 2, 4, 8 and nothing
-    # else, and evaluates no word through eval_word
+def test_exact_cross_check_descends_no_tower(monkeypatch):
+    # from a cold cache, n = 7 takes d_1^(-e) for e = 1, 2, 4, 8 and nothing
+    # else from the closed form of d_1^(-1) and its squares: no invert_unit,
+    # no _divide, and no word evaluated through eval_word
     circular_units._d_power.cache_clear()
-    inverted = []
-    invert_unit = CycInt.invert_unit
+    circular_units._d_inverse_power.cache_clear()
 
-    def counting(x):
-        inverted.append(x)
-        return invert_unit(x)
+    def descended(*args):
+        raise AssertionError("a tower descent on the verifier's path")
 
     def refused(w):
         raise AssertionError(f"eval_word({w.render()}) on the verifier's path")
 
-    monkeypatch.setattr(CycInt, "invert_unit", counting)
+    monkeypatch.setattr(CycInt, "invert_unit", descended)
+    monkeypatch.setattr(cyclotomic, "_divide", descended)
+    monkeypatch.setattr(circular_units, "_divide", descended)
     monkeypatch.setattr(circular_units, "eval_word", refused)
     monkeypatch.setattr(congruence, "eval_word", refused, raising=False)
     lv = Level(7)
     assert verify_main_theorem(lv).trivial_only
-    assert inverted == [seq_d(lv, 1) ** e for e in (8, 4, 2, 1)]
+    assert circular_units._d_inverse_power.cache_info().currsize == 4
+    monkeypatch.undo()
+    misses = circular_units._d_inverse_power.cache_info().misses
+    for e in (8, 4, 2, 1):
+        assert circular_units._d_inverse_power(7, e) == seq_d(lv, 1) ** -e
+    assert circular_units._d_inverse_power.cache_info().misses == misses
 
 
 def test_cli_exits_3_when_a_cached_inverse_is_wrong(monkeypatch, capsys):

@@ -35,7 +35,7 @@ from circunits import (
     v1_generators,
     word_mod2,
 )
-from circunits import circular_units, group_ring
+from circunits import circular_units, cyclotomic, group_ring
 from test_cyclotomic import KERNEL_KINDS, kernel_counts, kernel_operands, ref_linear
 from test_golden_exact import V1_DIGEST_N7, v1_digest
 
@@ -408,29 +408,34 @@ def test_v1_images_equal_the_eval_word_route(n):
     assert report.images == tuple(u_chi1(eval_word(w)) for w in words)
 
 
-def test_v1_generators_invert_once_per_exponent(monkeypatch):
-    # from a cold cache, d_1^e is inverted once for each negative exponent
-    # -e of F's generator words, in the order the words first use it, and
-    # no word goes through eval_word
+def test_v1_generators_descend_no_tower(monkeypatch):
+    # from a cold cache, d_1^(-e) for each negative exponent -e of F's
+    # generator words comes from the closed form of d_1^(-1) and its
+    # squares: no invert_unit, no _divide, and no word through eval_word
     circular_units._d_power.cache_clear()
-    inverted = []
-    invert_unit = CycInt.invert_unit
+    circular_units._d_inverse_power.cache_clear()
 
-    def counting(x):
-        inverted.append(x)
-        return invert_unit(x)
+    def descended(*args):
+        raise AssertionError("a tower descent on the V_1 path")
 
     def refused(w):
         raise AssertionError(f"eval_word({w.render()}) on the V_1 path")
 
-    monkeypatch.setattr(CycInt, "invert_unit", counting)
+    monkeypatch.setattr(CycInt, "invert_unit", descended)
+    monkeypatch.setattr(cyclotomic, "_divide", descended)
+    monkeypatch.setattr(circular_units, "_divide", descended)
     monkeypatch.setattr(circular_units, "eval_word", refused)
     lv = Level(7)
     report = v1_generators(lv)
+    assert circular_units._d_inverse_power.cache_info().currsize == 5
+    monkeypatch.undo()
     gens = generator_system(lv).f_gens
     negative = dict.fromkeys(-e for lw in gens for _, e in lw.word.d_exps if e < 0)
     assert list(negative) == [16, 8, 4, 2, 1]
-    assert inverted == [seq_d(lv, 1) ** e for e in negative]
+    misses = circular_units._d_inverse_power.cache_info().misses
+    for e in negative:
+        assert circular_units._d_inverse_power(7, e) == seq_d(lv, 1) ** -e
+    assert circular_units._d_inverse_power.cache_info().misses == misses
     assert v1_digest(report) == V1_DIGEST_N7
 
 
