@@ -152,24 +152,17 @@ def parse_word(level: Level, text: str) -> UnitWord:
 @lru_cache(maxsize=None)
 def _d_power(n: int, e: int) -> CycInt:
     """d_1^e: d_j^e is its Galois image sigma_j(d_1^e), so one power per
-    exponent serves every index.  A negative e takes _d_inverse_power, so
-    no power descends the tower."""
-    if e < 0:
-        return _d_inverse_power(n, -e)
-    return seq_d(Level(n), 1) ** e
+    exponent serves every index.  A negative e raises the closed form
+    _d_inverse(n), so no power descends the tower."""
+    base = seq_d(Level(n), 1) if e >= 0 else _d_inverse(n)
+    return base ** abs(e)
 
 
 @lru_cache(maxsize=None)
-def _d_inverse_power(n: int, e: int) -> CycInt:
-    """d_1^(-e) with no division.  d_1 = alpha^(-1)(1 - alpha^3)/(1 - alpha),
+def _d_inverse(n: int) -> CycInt:
+    """d_1^(-1) with no division.  d_1 = alpha^(-1)(1 - alpha^3)/(1 - alpha),
     so d_1^(-1) = alpha * sum_(i<t) alpha^(3i) with 3t = 1 mod 2^n, checked
-    once per level by one product; an even e squares d_1^(-e/2), an odd
-    e > 1 raises d_1^(-1) to the e."""
-    if e % 2 == 0:
-        half = _d_inverse_power(n, e // 2)
-        return half * half
-    if e > 1:
-        return _d_inverse_power(n, 1) ** e
+    once per level by one product."""
     level = Level(n)
     t = pow(3, -1, level.order)
     seed = CycInt.from_terms(level, ((3 * i + 1, 1) for i in range(t)))

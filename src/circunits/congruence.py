@@ -27,13 +27,12 @@ from .errors import (
     NonRealWord,
 )
 from .funnel import CERTIFIED_LEVELS, generator_system, q_word
-from .gf2 import cyc_mul_f2, cyc_pow_f2, gf2_rank, unpack_bits
+from .gf2 import cyc_mul_f2, cyc_pow_f2, gf2_rank, pack_bits, unpack_bits
 from .real_basis import (
     SpecialCoordsMod2,
     _position_labels,
     _r_mask,
     _s_mask,
-    special_mod2,
     special_mod2_from_parities,
 )
 from .version import TOOL_VERSION
@@ -52,8 +51,8 @@ __all__ = [
 # The exhaustive count covers all products of the first 16 coset generators
 # (all generators for n <= 7) from the subset products of each half.  On
 # CERTIFIED_LEVELS each class is also recomputed in Z[alpha] by _galois_product,
-# whose inverses come from the closed form of d_1^(-1) and its squares, with
-# no division (one-shot words take eval_word's division).
+# whose inverses are powers of the closed form of d_1^(-1), with no division
+# (one-shot words take eval_word's division), and its parities compared.
 WALK_GENERATORS = 16
 
 
@@ -394,12 +393,13 @@ def verify_main_theorem(level: Level) -> Certificate:
                 f"square-zero lemma fails: the class of {lw.label} is not 1 "
                 "plus an element of (1 + alpha)^(m/2) mod 2"
             )
-        coords = special_mod2_from_parities(level, mask)
-        if n in CERTIFIED_LEVELS and special_mod2(_galois_product(lw.word)) != coords:
-            raise InternalInconsistency(
-                f"{lw.label}: parity-ring class disagrees with exact evaluation"
-            )
-        classes.append(coords)
+        if n in CERTIFIED_LEVELS:
+            exact = _galois_product(lw.word)
+            if not exact.is_real() or pack_bits(exact.coeffs) != mask:
+                raise InternalInconsistency(
+                    f"{lw.label}: parity-ring class disagrees with exact evaluation"
+                )
+        classes.append(special_mod2_from_parities(level, mask))
         masks.append(mask)
 
     # column i is the class of generator i without position 0, the constant 1

@@ -267,29 +267,27 @@ def test_d_inverse_closed_form_is_the_tower_inverse(n):
     """d_1^(-1) = alpha * sum_(i<t) alpha^(3i), 3t = 1 mod 2^n, is the
     inverse the tower descent finds, and has coefficients in {-1, 0, 1}."""
     lv = Level(n)
-    seed = circular_units._d_inverse_power(n, 1)
+    seed = circular_units._d_inverse(n)
     assert seed == seq_d(lv, 1).invert_unit()
     assert set(seed.coeffs) <= {-1, 0, 1}
 
 
 @pytest.mark.parametrize("n", range(4, 9))
 def test_d_inverse_powers_from_the_seed(n):
-    """Every d_1^(-e) is d_1^e's inverse: even e by the chain of squares,
-    odd e as the seed's power."""
+    """Every d_1^(-e) is d_1^e's inverse and the seed's power."""
     lv = Level(n)
-    seed = circular_units._d_inverse_power(n, 1)
+    seed = circular_units._d_inverse(n)
     for e in [*range(1, 10), 16, 32]:
         inverse = circular_units._d_power(n, -e)
         assert inverse == seq_d(lv, 1) ** -e, e
-        if e % 2:
-            assert inverse == seed**e, e
+        assert inverse == seed**e, e
 
 
 def test_cli_exits_3_when_the_closed_form_is_wrong(monkeypatch, capsys):
     """A seed of t - 1 terms is not d_1's inverse: the guard stops the
     verifier before the cache serves it."""
     circular_units._d_power.cache_clear()
-    circular_units._d_inverse_power.cache_clear()
+    circular_units._d_inverse.cache_clear()
     short = lambda b, e, m: pow(b, e, m) - (e == -1)  # noqa: E731
     monkeypatch.setattr(circular_units, "pow", short, raising=False)
     assert main(["verify", "--n", "6"]) == 3
@@ -298,7 +296,7 @@ def test_cli_exits_3_when_the_closed_form_is_wrong(monkeypatch, capsys):
     assert captured.err.splitlines() == [
         "internal disagreement: the closed form of d_1^(-1) is not its inverse"
     ]
-    assert circular_units._d_inverse_power.cache_info().currsize == 0
+    assert circular_units._d_inverse.cache_info().currsize == 0
 
 
 def marked_words(lv: Level, rng: random.Random) -> list[UnitWord]:

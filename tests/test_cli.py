@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, output shapes, reproducibility."""
 
+import importlib
 import json
 import os
 import re
@@ -443,9 +444,13 @@ def test_no_subcommand_is_usage_error(capsys):
 
 def test_versions_agree(capsys):
     """--version, __version__, a certificate's tool_version and the
-    distribution's version in pyproject.toml are one string."""
+    distribution's version in pyproject.toml are one string: pyproject.toml
+    reads it from the attribute it names."""
     pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
-    declared = re.search(r'^version = "([^"]+)"$', pyproject, re.MULTILINE).group(1)
+    assert re.search(r'^dynamic = \["version"\]$', pyproject, re.MULTILINE)
+    attr = re.search(r'^version = \{attr = "([^"]+)"\}$', pyproject, re.MULTILINE)
+    module, _, name = attr.group(1).rpartition(".")
+    declared = getattr(importlib.import_module(module), name)
     with pytest.raises(SystemExit) as exited:
         main(["--version"])
     assert exited.value.code == 0

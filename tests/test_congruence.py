@@ -652,11 +652,11 @@ def test_exact_cross_check_value_is_the_word_value(n):
 
 
 def test_exact_cross_check_descends_no_tower(monkeypatch):
-    # from a cold cache, n = 7 takes d_1^(-e) for e = 1, 2, 4, 8 and nothing
-    # else from the closed form of d_1^(-1) and its squares: no invert_unit,
-    # no _divide, and no word evaluated through eval_word
+    # from a cold cache, n = 7 takes d_1^(-e) for e = 8, 4, 2, 1 as powers
+    # of the closed form of d_1^(-1), built once: no invert_unit, no
+    # _divide, and no word evaluated through eval_word
     circular_units._d_power.cache_clear()
-    circular_units._d_inverse_power.cache_clear()
+    circular_units._d_inverse.cache_clear()
 
     def descended(*args):
         raise AssertionError("a tower descent on the verifier's path")
@@ -671,12 +671,17 @@ def test_exact_cross_check_descends_no_tower(monkeypatch):
     monkeypatch.setattr(congruence, "eval_word", refused, raising=False)
     lv = Level(7)
     assert verify_main_theorem(lv).trivial_only
-    assert circular_units._d_inverse_power.cache_info().currsize == 4
+    assert circular_units._d_inverse.cache_info().misses == 1
     monkeypatch.undo()
-    misses = circular_units._d_inverse_power.cache_info().misses
+    # one cached power per exponent of the words, and no other
+    gens = generator_system(lv).sqrt_gens
+    exponents = {e for lw in gens for _, e in lw.word.d_exps}
+    assert sorted(e for e in exponents if e < 0) == [-8, -4, -2, -1]
+    assert circular_units._d_power.cache_info().currsize == len(exponents)
+    misses = circular_units._d_power.cache_info().misses
     for e in (8, 4, 2, 1):
-        assert circular_units._d_inverse_power(7, e) == seq_d(lv, 1) ** -e
-    assert circular_units._d_inverse_power.cache_info().misses == misses
+        assert circular_units._d_power(7, -e) == seq_d(lv, 1) ** -e
+    assert circular_units._d_power.cache_info().misses == misses
 
 
 def test_cli_exits_3_when_a_cached_inverse_is_wrong(monkeypatch, capsys):
@@ -691,6 +696,24 @@ def test_cli_exits_3_when_a_cached_inverse_is_wrong(monkeypatch, capsys):
     assert captured.out == ""
     assert captured.err.splitlines() == [
         "internal disagreement: q(1,1): parity-ring class disagrees with "
+        "exact evaluation"
+    ]
+
+
+def test_cli_exits_3_when_the_exact_value_is_not_real(monkeypatch, capsys):
+    # alpha times the exact value is still a unit but no longer real: the
+    # verifier reports a disagreement, not an escaped NotReal
+    real = congruence._galois_product
+    monkeypatch.setattr(
+        congruence,
+        "_galois_product",
+        lambda w: real(w) * CycInt.monomial(w.level, 1),
+    )
+    assert main(["verify", "--n", "6"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "internal disagreement: d_1^8: parity-ring class disagrees with "
         "exact evaluation"
     ]
 

@@ -410,10 +410,10 @@ def test_v1_images_equal_the_eval_word_route(n):
 
 def test_v1_generators_descend_no_tower(monkeypatch):
     # from a cold cache, d_1^(-e) for each negative exponent -e of F's
-    # generator words comes from the closed form of d_1^(-1) and its
-    # squares: no invert_unit, no _divide, and no word through eval_word
+    # generator words is a power of the closed form of d_1^(-1), built once:
+    # no invert_unit, no _divide, and no word through eval_word
     circular_units._d_power.cache_clear()
-    circular_units._d_inverse_power.cache_clear()
+    circular_units._d_inverse.cache_clear()
 
     def descended(*args):
         raise AssertionError("a tower descent on the V_1 path")
@@ -427,15 +427,17 @@ def test_v1_generators_descend_no_tower(monkeypatch):
     monkeypatch.setattr(circular_units, "eval_word", refused)
     lv = Level(7)
     report = v1_generators(lv)
-    assert circular_units._d_inverse_power.cache_info().currsize == 5
+    assert circular_units._d_inverse.cache_info().misses == 1
     monkeypatch.undo()
     gens = generator_system(lv).f_gens
     negative = dict.fromkeys(-e for lw in gens for _, e in lw.word.d_exps if e < 0)
     assert list(negative) == [16, 8, 4, 2, 1]
-    misses = circular_units._d_inverse_power.cache_info().misses
+    exponents = {e for lw in gens for _, e in lw.word.d_exps}
+    assert circular_units._d_power.cache_info().currsize == len(exponents)
+    misses = circular_units._d_power.cache_info().misses
     for e in negative:
-        assert circular_units._d_inverse_power(7, e) == seq_d(lv, 1) ** -e
-    assert circular_units._d_inverse_power.cache_info().misses == misses
+        assert circular_units._d_power(7, -e) == seq_d(lv, 1) ** -e
+    assert circular_units._d_power.cache_info().misses == misses
     assert v1_digest(report) == V1_DIGEST_N7
 
 
