@@ -83,10 +83,6 @@ class UnitWord(_Frozen):
     def identity(cls, level: Level) -> UnitWord:
         return cls(level, 0, ())
 
-    @property
-    def d_exp_map(self) -> dict[int, int]:
-        return dict(self.d_exps)
-
     def is_real(self) -> bool:
         return self.alpha_exp == 0
 
@@ -95,7 +91,7 @@ class UnitWord(_Frozen):
             return NotImplemented
         if self.level != other.level:
             raise LevelMismatch("cannot multiply words at different levels")
-        exps = self.d_exp_map
+        exps = dict(self.d_exps)
         for j, e in other.d_exps:
             exps[j] = exps.get(j, 0) + e
         return UnitWord.make(self.level, self.alpha_exp + other.alpha_exp, exps)

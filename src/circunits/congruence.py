@@ -21,7 +21,6 @@ from .cyclotomic import Level, _Frozen
 from .errors import (
     DisagreementError,
     EvenGaloisIndex,
-    IndexOutOfRange,
     InternalInconsistency,
     LevelTooSmall,
     NonRealWord,
@@ -42,7 +41,6 @@ __all__ = [
     "Certificate",
     "word_mod2",
     "e_membership",
-    "p_factor_indices",
     "q_power_identities",
     "galois_transport_check",
     "verify_main_theorem",
@@ -99,19 +97,6 @@ def e_membership(w: UnitWord) -> bool:
 
 
 # ---------------------------------------------------------------------- #
-# the product factors P(k)
-
-
-def p_factor_indices(level: Level, k: int) -> tuple[int, ...]:
-    """Indices 2^(k-1), ..., 2^(n-4) of the mod-2 d-product form of P(k)."""
-    if not 1 <= k <= level.n - 3:
-        raise IndexOutOfRange(
-            f"P-factor index must lie in 1..{level.n - 3}, got {k}"
-        )
-    return tuple(1 << j for j in range(k - 1, level.n - 3))
-
-
-# ---------------------------------------------------------------------- #
 # identity reports
 
 
@@ -148,7 +133,8 @@ def q_power_identities(level: Level) -> dict:
     checks = []
     for k in range(1, n - 2):
         half = 1 << (k - 1)
-        indices = p_factor_indices(level, k)
+        # P(k) is the product of the d_i over i = 2^(k-1), ..., 2^(n-4)
+        indices = [1 << i for i in range(k - 1, n - 3)]
         pk = cyc_pow_f2(1 ^ _s_mask(level, 1), sum(indices), m)
         inv_mask = _word_parities(UnitWord.make(level, 0, {1: -half}))
         rhs = cyc_mul_f2(head_mask, pk, m)
@@ -313,7 +299,9 @@ def _in_square_zero_ideal(level: Level, x: int) -> bool:
     orbits of {+-1, +m/2} on Z/m: {0, m/2}, which must be 0, {+-m/4},
     which gives s_(m/4), and {+-t, m/2 +- t} for 0 < t < m/4, which gives
     r_t.  So the real part of the ideal is exactly V = span(s_q, r_1, ...,
-    r_(q-1)), q = m/4 = 2^(n-3).
+    r_(q-1)), q = m/4 = 2^(n-3).  Each coset-generator class is 1 plus an
+    element of the ideal at every n, a theorem (see the README); the
+    verifier's call cross-checks it.
     """
     return not cyc_mul_f2(1 | 1 << level.degree // 2, x, level.degree)
 
@@ -370,12 +358,13 @@ def verify_main_theorem(level: Level) -> Certificate:
     """Decide whether only the trivial coset product is congruent to 1.
 
     Each class is checked to be 1 + x_i with x_i in the ideal (pi^(m/2)),
-    one product per class, before it is read in B.  The ideal squares to 0
-    mod 2, so prod (1 + x_i)^(delta_i) = 1 + sum delta_i x_i and nullity 0
-    of the linearized system is a proof at every n.  The exhaustive count
-    over all products of the first WALK_GENERATORS generators, which uses
-    neither the lemma nor linearity, must agree with it.  A true verdict
-    pins the intersection of sqrt(F) with E to F.
+    one product per class, before it is read in B.  This per-class test
+    cross-checks the square-zero lemma, a theorem at every n (README).  The
+    ideal squares to 0 mod 2, so prod (1 + x_i)^(delta_i) = 1 + sum delta_i
+    x_i and nullity 0 of the linearized system is a proof at every n.  The
+    exhaustive count over all products of the first WALK_GENERATORS
+    generators, which uses neither the lemma nor linearity, must agree with
+    it.  A true verdict pins the intersection of sqrt(F) with E to F.
     """
     n = level.n
     started = time.perf_counter()

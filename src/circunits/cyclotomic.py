@@ -328,10 +328,6 @@ class CycInt(_Frozen):
     # constructors
 
     @classmethod
-    def zero(cls, level: Level) -> CycInt:
-        return cls(level, (0,) * level.degree)
-
-    @classmethod
     def one(cls, level: Level) -> CycInt:
         return cls.from_int(level, 1)
 

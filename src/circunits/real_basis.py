@@ -26,8 +26,6 @@ __all__ = [
     "seq_r",
     "special_mod2",
     "rtilde_member",
-    "canonical_s_token",
-    "canonical_r_token",
     "s_table_tokens",
     "r_table_tokens",
 ]
@@ -108,15 +106,11 @@ class SpecialCoordsMod2(_Frozen):
         """True iff the class is the class of 1."""
         return self.mask == 1
 
-    def terms(self) -> tuple[str, ...]:
-        """Labels of the set positions, lowest first."""
-        labels = _position_labels(self.level.n)
-        return tuple(compress(labels, unpack_bits(self.mask, len(labels))))
-
     def render(self) -> str:
-        """Canonical text form, e.g. '1+r_2+r_3'; '0' for the zero class."""
-        parts = self.terms()
-        return "+".join(parts) if parts else "0"
+        """Canonical text form, the labels of the set positions lowest
+        first, e.g. '1+r_2+r_3'; '0' for the zero class."""
+        labels = _position_labels(self.level.n)
+        return "+".join(compress(labels, unpack_bits(self.mask, len(labels)))) or "0"
 
     def coords_hex(self) -> str:
         width = ((1 << (self.level.n - 2)) + 3) // 4
@@ -168,25 +162,19 @@ def rtilde_member(a: CycInt) -> bool:
 # canonical mod-2 index tokens and tables
 
 
-def canonical_s_token(level: Level, j: int) -> str:
-    """Mod-2 canonical name of s_j: '0' or 's_k' with 0 < k < 2^(n-2), k
-    the lowest set bit of its mask (the bits +-j mod 2^(n-1))."""
-    mask = _s_mask(level, j)
-    return f"s_{(mask & -mask).bit_length() - 1}" if mask else "0"
-
-
-def canonical_r_token(level: Level, j: int) -> str:
-    """Mod-2 canonical name of r_j: '0' or 'r_k' with 0 < k < 2^(n-3), k
-    the lowest set bit of its mask."""
-    mask = _r_mask(level, j)
-    return f"r_{(mask & -mask).bit_length() - 1}" if mask else "0"
+def _token(name: str, mask: int) -> str:
+    """Mod-2 canonical name of s_j or r_j from its parity mask: '0', or
+    name_k with k the lowest set bit of the mask."""
+    return f"{name}_{(mask & -mask).bit_length() - 1}" if mask else "0"
 
 
 def s_table_tokens(level: Level) -> list[str]:
-    """Canonical tokens of s_j mod 2 for j = 0 .. 2^(n-1)-1."""
-    return [canonical_s_token(level, j) for j in range(1 << (level.n - 1))]
+    """Canonical tokens of s_j mod 2 for j = 0 .. 2^(n-1)-1, one period:
+    '0' or 's_k' with 0 < k < 2^(n-2), from the bits +-j mod 2^(n-1)."""
+    return [_token("s", _s_mask(level, j)) for j in range(1 << (level.n - 1))]
 
 
 def r_table_tokens(level: Level) -> list[str]:
-    """Canonical tokens of r_j mod 2 for j = 0 .. 2^(n-2)-1."""
-    return [canonical_r_token(level, j) for j in range(1 << (level.n - 2))]
+    """Canonical tokens of r_j mod 2 for j = 0 .. 2^(n-2)-1, one period:
+    '0' or 'r_k' with 0 < k < 2^(n-3)."""
+    return [_token("r", _r_mask(level, j)) for j in range(1 << (level.n - 2))]

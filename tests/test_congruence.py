@@ -21,7 +21,6 @@ from circunits import (
     eval_word,
     galois_transport_check,
     generator_system,
-    p_factor_indices,
     q_power_identities,
     q_word,
     seq_d,
@@ -33,7 +32,6 @@ from circunits import (
 )
 from circunits import circular_units, congruence, cyclotomic
 from circunits.cli import main
-from circunits.errors import IndexOutOfRange
 from circunits.funnel import CERTIFIED_LEVELS
 from circunits.gf2 import cyc_mul_f2, cyc_pow_f2, gf2_rank, pack_bits
 
@@ -149,15 +147,21 @@ def test_q_words_step_k_powers():
 # P factors
 
 
+def p_factor_indices(lv, k):
+    """The d-indices 2^(k-1), ..., 2^(n-4) of P(k), for 1 <= k <= n - 3."""
+    return tuple(1 << j for j in range(k - 1, lv.n - 3))
+
+
 def test_p_factor_indices():
+    # the report names each P(k) by its d-indices, and has one for each
+    # funnel step k = 1 .. n - 3 only
     lv = Level(6)
-    assert p_factor_indices(lv, 1) == (1, 2, 4)
-    assert p_factor_indices(lv, 2) == (2, 4)
-    assert p_factor_indices(lv, 3) == (4,)
-    with pytest.raises(IndexOutOfRange):
-        p_factor_indices(lv, 4)
-    with pytest.raises(IndexOutOfRange):
-        p_factor_indices(lv, 0)
+    shown = {
+        c["k"]: c["p_product"]
+        for c in q_power_identities(lv)["checks"]
+        if c["name"] == "q_half_power_p_form"
+    }
+    assert shown == {1: "d_1*d_2*d_4", 2: "d_2*d_4", 3: "d_4"}
 
 
 def p_factor(lv, k):

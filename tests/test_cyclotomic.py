@@ -52,7 +52,7 @@ def flat_norm(a: CycInt) -> int:
 
 def flat_trace(a: CycInt) -> int:
     """Oracle: sum all Galois conjugates directly."""
-    total = CycInt.zero(a.level)
+    total = CycInt.from_int(a.level, 0)
     for k in range(1, a.level.order, 2):
         total = total + a.galois(k)
     assert not any(total.coeffs[1:])
@@ -111,7 +111,7 @@ def test_from_terms_against_products(n, data):
         st.lists(st.tuples(exponent, st.integers(-5, 5)), max_size=12)
     )
     alpha = CycInt.monomial(lv, 1)
-    expected = CycInt.zero(lv)
+    expected = CycInt.from_int(lv, 0)
     for e, c in terms:
         expected = expected + c * alpha ** (e % lv.order)
     assert CycInt.from_terms(lv, terms) == expected
@@ -132,8 +132,8 @@ def test_ring_axioms(seed):
             assert (a + b) + c == a + (b + c)
             assert (a * b) * c == a * (b * c)
             assert a * (b + c) == a * b + a * c
-            assert a - a == CycInt.zero(lv)
-            assert a + (-a) == CycInt.zero(lv)
+            assert a - a == CycInt.from_int(lv, 0)
+            assert a + (-a) == CycInt.from_int(lv, 0)
             assert a * CycInt.one(lv) == a
             assert 3 * a == a + a + a
 
@@ -164,7 +164,7 @@ def ref_negacyclic(a: CycInt, b: CycInt) -> CycInt:
 def product_operands(lv: Level):
     """Zero, +-monomials, a 3-term d_j, or dense signed values up to 2^200."""
     return st.one_of(
-        st.just(CycInt.zero(lv)),
+        st.just(CycInt.from_int(lv, 0)),
         st.builds(
             lambda e, c: CycInt.monomial(lv, e, c),
             st.integers(0, lv.order - 1),
@@ -608,7 +608,7 @@ def test_galois_against_substitution(n):
         root = CycInt.monomial(lv, k)
         powers = [root**j for j in range(lv.degree)]
         for a in elems:
-            expected = CycInt.zero(lv)
+            expected = CycInt.from_int(lv, 0)
             for c, power in zip(a.coeffs, powers):
                 expected = expected + c * power
             assert a.galois(k) == expected
@@ -675,7 +675,7 @@ def test_norm_of_rationals():
     lv = Level(4)
     assert CycInt.from_int(lv, 2).norm() == 2**lv.degree
     assert CycInt.from_int(lv, -1).norm() == 1
-    assert CycInt.zero(lv).norm() == 0
+    assert CycInt.from_int(lv, 0).norm() == 0
 
 
 def test_norm_of_one_minus_alpha():
@@ -1049,8 +1049,8 @@ def test_mod2_and_congruence():
     # 1 mod 2 is the parity mask 1, the test is_admissible and u_chi1 make
     assert pack_bits(a.coeffs) != 1
     assert pack_bits(CycInt.from_int(lv, 3).coeffs) == 1
-    assert CycInt.one(lv) != CycInt.zero(lv)
-    assert CycInt.one(lv) - CycInt.one(lv) == CycInt.zero(lv)
+    assert CycInt.one(lv) != CycInt.from_int(lv, 0)
+    assert CycInt.one(lv) - CycInt.one(lv) == CycInt.from_int(lv, 0)
 
 
 def test_is_real():

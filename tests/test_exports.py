@@ -32,9 +32,8 @@ TOP_LEVEL = [
     "InternalInconsistency", "LabeledWord", "Level", "LevelMismatch",
     "LevelTooSmall", "NonRealWord", "NotAUnit", "NotIntegral", "NotReal",
     "SpecialCoordsMod2", "TOOL_VERSION", "UnitWord", "V1Report", "beta",
-    "build_partition", "canonical_r_token", "canonical_s_token",
-    "d_index_set", "e_membership", "eval_word", "galois_transport_check",
-    "generator_system", "gr_mul", "is_admissible", "p_factor_indices",
+    "build_partition", "d_index_set", "e_membership", "eval_word",
+    "galois_transport_check", "generator_system", "gr_mul", "is_admissible",
     "parse_word", "q_power_identities", "q_word", "r_table_tokens",
     "rtilde_member", "s_table_tokens", "seq_d", "seq_r", "seq_s",
     "special_mod2", "u_chi1", "v1_generators", "verify_main_theorem",
@@ -48,7 +47,7 @@ REEXPORTED = [
 
 
 def test_top_level_names_are_pinned():
-    assert len(TOP_LEVEL) == 50
+    assert len(TOP_LEVEL) == 47
     assert sorted(circunits.__all__) == TOP_LEVEL
 
 
@@ -66,6 +65,33 @@ def test_internal_names_stay_off_the_top_level():
     for name in hidden:
         assert name not in circunits.__all__
         assert not hasattr(circunits, name), name
+
+
+# Public names that no caller outside their own module used: each became
+# private or went.  (module, name) for module-level names, (class, name)
+# for methods.
+REMOVED = [
+    ("real_basis", "canonical_s_token"),
+    ("real_basis", "canonical_r_token"),
+    ("congruence", "p_factor_indices"),
+]
+REMOVED_METHODS = [
+    ("CycInt", "zero"),
+    ("SpecialCoordsMod2", "terms"),
+    ("UnitWord", "d_exp_map"),
+]
+
+
+@pytest.mark.parametrize("module, name", REMOVED)
+def test_removed_names_are_not_exported(module, name):
+    assert name not in importlib.import_module(f"circunits.{module}").__all__
+    assert name not in circunits.__all__
+    assert not hasattr(circunits, name)
+
+
+@pytest.mark.parametrize("cls, name", REMOVED_METHODS)
+def test_removed_methods_are_gone(cls, name):
+    assert not hasattr(getattr(circunits, cls), name)
 
 
 @pytest.mark.parametrize("name", REEXPORTED)

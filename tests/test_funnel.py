@@ -35,7 +35,7 @@ def expected_index(n: int) -> int:
 
 def exponent_vector(w: UnitWord) -> list:
     """Exponents of a word over the full generator set d_1, d_3, ..."""
-    exps = w.d_exp_map
+    exps = dict(w.d_exps)
     return [exps.get(j, 0) for j in d_index_set(w.level)]
 
 

@@ -265,7 +265,7 @@ def test_apply_character_against_power_sum(n):
         # the old formula sum c_j * value**j, with each power taken once
         powers = [value**j for j in range(lv.order)]
         for u in elements:
-            expected = CycInt.zero(lv)
+            expected = CycInt.from_int(lv, 0)
             for c, power in zip(u.coeffs, powers):
                 expected = expected + c * power
             assert u.apply_character(value) == expected
@@ -276,7 +276,7 @@ def test_apply_character_rejects_non_roots():
     alpha = CycInt.monomial(lv, 1)
     u = GroupRingElt.x_power(lv, 3)
     for value in (
-        CycInt.zero(lv),
+        CycInt.from_int(lv, 0),
         CycInt.from_int(lv, 2),
         CycInt.from_int(lv, -2),
         CycInt.monomial(lv, 1, 2),

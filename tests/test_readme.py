@@ -42,7 +42,13 @@ def test_command_line_example(line, tmp_path, monkeypatch, capsys):
 def test_library_example(capsys):
     exec(fenced_block("Library example", "python"), {})
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == "1+r_1+r_2"
+    assert lines == [
+        "1+r_1+r_2",
+        "True",
+        "(37, 7, -33, -20)",
+        "d_1^8 q(2,1)^4 q(1,1)^2 q(1,3)^2 q(0,3) q(0,5) q(0,7)",
+        "True",
+    ]
 
 
 def test_certificate_example(capsys):

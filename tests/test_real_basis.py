@@ -18,9 +18,9 @@ from circunits import (
     CycInt,
     Level,
     NotReal,
-    canonical_r_token,
-    canonical_s_token,
+    r_table_tokens,
     rtilde_member,
+    s_table_tokens,
     seq_d,
     seq_r,
     seq_s,
@@ -31,6 +31,9 @@ from circunits.gf2 import pack_bits
 from circunits.real_basis import (
     SpecialCoordsMod2,
     _position_labels,
+    _r_mask,
+    _s_mask,
+    _token,
     special_mod2_from_parities,
 )
 
@@ -161,7 +164,7 @@ def test_sequence_special_values(n):
     quarter = half // 2
     assert seq_s(lv, 0) == CycInt.from_int(lv, 2)
     assert seq_s(lv, half) == CycInt.from_int(lv, -2)
-    assert seq_s(lv, quarter) == CycInt.zero(lv)
+    assert seq_s(lv, quarter) == CycInt.from_int(lv, 0)
     # s at the eighth roots squares to 2
     eighth = quarter // 2
     assert seq_s(lv, eighth) ** 2 == CycInt.from_int(lv, 2)
@@ -262,7 +265,7 @@ def test_special_basis_reconstructs_element():
     a = seq_s(lv, 7) + 3 * seq_r(lv, 2) - seq_s(lv, 1)
     coords = to_special_basis(to_s_basis(a))
     elems = special_basis_elements(lv)
-    acc = CycInt.zero(lv)
+    acc = CycInt.from_int(lv, 0)
     for c, e in zip(coords, elems):
         acc = acc + c * e
     assert acc == a
@@ -280,7 +283,6 @@ def test_special_mod2_rendering():
     assert special_mod2(CycInt.from_int(lv, 2)).render() == "0"
     cls = special_mod2(CycInt.one(lv) + seq_r(lv, 2) + seq_r(lv, 3))
     assert cls.render() == "1+r_2+r_3"
-    assert cls.terms() == ("1", "r_2", "r_3")
     assert special_mod2(seq_s(lv, 4)).render() == "s_4"
 
 
@@ -294,7 +296,7 @@ def test_special_mod2_packing():
 
 
 def _terms_by_bits(cls):
-    # the per-position loop and position labels that terms() replaces
+    # the per-position loop and position labels that render() replaces
     quarter = 1 << (cls.level.n - 3)
 
     def label(p):
@@ -319,7 +321,7 @@ def test_terms_against_bit_loop(n):
     masks += [rng.getrandbits(width) & rng.getrandbits(width) for _ in range(20)]
     for mask in masks:
         cls = SpecialCoordsMod2(lv, mask)
-        assert cls.terms() == _terms_by_bits(cls)
+        assert cls.render() == ("+".join(_terms_by_bits(cls)) or "0")
     everything = SpecialCoordsMod2(lv, (1 << width) - 1)
     assert _position_labels(n) == _terms_by_bits(everything)
 
@@ -442,10 +444,10 @@ def test_b_basis_product_rules(n):
         return coords_from_terms(lv, kept)
 
     def s_tok(i):
-        return canonical_s_token(lv, i)
+        return s_token(lv, i)
 
     def r_tok(i):
-        return canonical_r_token(lv, i)
+        return r_token(lv, i)
 
     # s_j * s_k below, at, and across the boundary
     for j in range(1, q):
@@ -518,11 +520,21 @@ def test_rtilde_square_zero():
 # canonical tokens are faithful
 
 
+def s_token(lv, j):
+    """The table's token of s_j for any j: s_j mod 2 has period 2^(n-1)."""
+    return s_table_tokens(lv)[j % (1 << (lv.n - 1))]
+
+
+def r_token(lv, j):
+    """The table's token of r_j for any j: r_j mod 2 has period 2^(n-2)."""
+    return r_table_tokens(lv)[j % (1 << (lv.n - 2))]
+
+
 @pytest.mark.parametrize("n", [4, 5, 6])
 def test_s_tokens_match_parities(n):
     lv = Level(n)
     for j in range(0, lv.order + 3):
-        token = canonical_s_token(lv, j)
+        token = s_token(lv, j)
         actual = parities(seq_s(lv, j))
         if token == "0":
             assert all(c == 0 for c in actual)
@@ -535,7 +547,7 @@ def test_r_tokens_match_parities(n):
     lv = Level(n)
     period = 1 << (n - 2)
     for j in range(-period, 2 * period + 3):
-        token = canonical_r_token(lv, j)
+        token = r_token(lv, j)
         actual = parities(seq_r(lv, j))
         if token == "0":
             assert all(c == 0 for c in actual)
@@ -556,6 +568,9 @@ def _fold_rule(name, period, j):
 @pytest.mark.parametrize("n", range(3, 13))
 def test_tokens_name_the_lowest_mask_bit_as_the_fold_rule_did(n):
     lv = Level(n)
+    s_table, r_table = s_table_tokens(lv), r_table_tokens(lv)
     for j in range(-3 << n, 3 << n):
-        assert canonical_s_token(lv, j) == _fold_rule("s", 1 << (n - 1), j)
-        assert canonical_r_token(lv, j) == _fold_rule("r", 1 << (n - 2), j)
+        s_tok = _fold_rule("s", 1 << (n - 1), j)
+        r_tok = _fold_rule("r", 1 << (n - 2), j)
+        assert s_table[j % len(s_table)] == _token("s", _s_mask(lv, j)) == s_tok
+        assert r_table[j % len(r_table)] == _token("r", _r_mask(lv, j)) == r_tok
