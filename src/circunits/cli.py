@@ -5,12 +5,13 @@ funnel (partition and generator systems), unit (group-ring gamma vector of
 a word), identities (congruence identity reports, computed in the parity
 ring Z[alpha]/2 with no exact arithmetic; about 0.2 s at n = 12).  verify
 proves its verdict at every level 4..12: it checks that each coset class
-minus 1 is annihilated by (1 + alpha)^(m/2) = 1 + alpha^(m/2) mod 2, so
-every product of two such differences is 0 mod 2, which makes the
-linearized GF(2) system exact.  unit decides a word mod 2
-before any exact arithmetic, and refuses an admitted word whose value may
-be too large to compute as a usage error.  All JSON output is
-deterministic; timing fields are zeroed unless --timing is given.
+has relative norm 1 mod 2, so the class minus 1 is annihilated by
+(1 + alpha)^(m/2) = 1 + alpha^(m/2) mod 2 and every product of two such
+differences is 0 mod 2, which makes the linearized GF(2) system exact.
+unit decides a word mod 2 before any exact arithmetic, and refuses an
+admitted word whose value may be too large to compute as a usage error.
+All JSON output is deterministic; timing fields are zeroed unless
+--timing is given.
 """
 
 from __future__ import annotations

@@ -4,9 +4,9 @@ A word w in the d-generators has a mod-2 class in the special basis B,
 computed in the parity ring Z[alpha]/2.  The subgroup E consists of the
 words congruent to 1.  The verifier proves at every n that no nontrivial
 product of sqrt(F)/F coset generators lands in E, by a checked square-zero
-lemma: each class minus 1 is annihilated by 1 + alpha^(m/2) mod 2, so it
-lies in an ideal whose square is 0 mod 2, and the GF(2) system linearizing
-the products is exact.
+lemma: each class has relative norm 1 mod 2 one level down, so the class
+minus 1 is annihilated by 1 + alpha^(m/2) mod 2 and lies in an ideal whose
+square is 0 mod 2, and the GF(2) system linearizing the products is exact.
 The identity reports compare classes mod 2 as well, all in the parity
 ring, with no exact arithmetic; at n = 12 they take about 0.2 s.
 """
@@ -289,21 +289,13 @@ class Certificate(_Frozen):
         return data
 
 
-def _in_square_zero_ideal(level: Level, x: int) -> bool:
-    """True iff the parity mask x lies in the ideal (pi^(m/2)) of
-    Z[alpha]/2 = F_2[pi]/(pi^m), pi = 1 + alpha, whose square is 0.
-
-    In a chain ring (pi^(m/2)) is the kernel of multiplication by pi^(m/2)
-    = 1 + alpha^(m/2), the x with c_j = c_(j+m/2) for all j.  A real x has
-    c_j = c_(-j) and c_(m/2) = 0, so its coefficients are constant on the
-    orbits of {+-1, +m/2} on Z/m: {0, m/2}, which must be 0, {+-m/4},
-    which gives s_(m/4), and {+-t, m/2 +- t} for 0 < t < m/4, which gives
-    r_t.  So the real part of the ideal is exactly V = span(s_q, r_1, ...,
-    r_(q-1)), q = m/4 = 2^(n-3).  Each coset-generator class is 1 plus an
-    element of the ideal at every n, a theorem (see the README); the
-    verifier's call cross-checks it.
-    """
-    return not cyc_mul_f2(1 | 1 << level.degree // 2, x, level.degree)
+def _norm_mod2(mask: int, m: int) -> int:
+    """The relative norm x(alpha) * x(-alpha) mod 2, read in beta = alpha^2,
+    of the x whose parity mask has bits c_i: mod 2 it is x(alpha)^2, and
+    beta^(m/2) = 1, so bit i is c_i + c_(i + m/2).  A coset-generator class has norm 1 at
+    every n, a theorem (see the README); the verifier's call cross-checks
+    it."""
+    return (mask ^ mask >> m // 2) & ((1 << m // 2) - 1)
 
 
 def _subset_products(masks: list[int], m: int) -> list[bytes]:
@@ -357,8 +349,11 @@ def _transpose(masks: list[int], width: int) -> list[int]:
 def verify_main_theorem(level: Level) -> Certificate:
     """Decide whether only the trivial coset product is congruent to 1.
 
-    Each class is checked to be 1 + x_i with x_i in the ideal (pi^(m/2)),
-    one product per class, before it is read in B.  This per-class test
+    Each class 1 + x_i is checked to have relative norm 1 mod 2 (_norm_mod2)
+    before it is read in B.  Mod 2 the norm is additive, and that of x_i is
+    the low half of (1 + alpha^(m/2)) * x_i, whose high half repeats it, so
+    the class has norm 1 exactly when x_i lies in the ideal (pi^(m/2)),
+    pi = 1 + alpha, the kernel of pi^(m/2) = 1 + alpha^(m/2).  This test
     cross-checks the square-zero lemma, a theorem at every n (README).  The
     ideal squares to 0 mod 2, so prod (1 + x_i)^(delta_i) = 1 + sum delta_i
     x_i and nullity 0 of the linearized system is a proof at every n.  The
@@ -377,7 +372,7 @@ def verify_main_theorem(level: Level) -> Certificate:
     masks = []
     for lw in gens:
         mask = _word_parities(lw.word)
-        if not _in_square_zero_ideal(level, mask ^ 1):
+        if _norm_mod2(mask, m) != 1:
             raise InternalInconsistency(
                 f"square-zero lemma fails: the class of {lw.label} is not 1 "
                 "plus an element of (1 + alpha)^(m/2) mod 2"

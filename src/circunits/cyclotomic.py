@@ -17,10 +17,9 @@ x = E(alpha^2) + alpha * O(alpha^2) and beta = alpha^2,
     x(alpha) * x(-alpha) = E(beta)^2 - beta * O(beta)^2,
 
 an element of Z[beta], the ring one level down, and at length 1 of Z.
-Each step is that one product: a dense x takes it as one big-integer
-product, x(2^b) * x(-2^b), a sparse x by the double loop.  So
-p/x = p * x(-alpha) * z with z the inverse of x(alpha) * x(-alpha) one
-level down; the inverse is the case p = 1.
+Each step is that one product, taken as one big-integer product,
+x(2^b) * x(-2^b).  So p/x = p * x(-alpha) * z with z the inverse of
+x(alpha) * x(-alpha) one level down; the inverse is the case p = 1.
 """
 
 from __future__ import annotations
@@ -237,21 +236,14 @@ def _halve(c: Sequence[int]) -> list[int]:
     and its even ones are returned: len(c)/2 coefficients in powers of
     beta, where beta^(len(c)/2) = -1.
 
-    With nx nonzero coefficients, a sparse x (nx * nx < 8 * len(c))
-    takes the product through _wrapped, whose own rule keeps it on the
-    double loop.  A dense x takes it in one big-integer product,
-    x(2^b) * x(-2^b) with b = 4B bits: two-point Kronecker substitution
-    (Harvey 2009, see _kronecker) whose product, even in alpha, holds one
-    coefficient per slot of 2b bits.  Each coefficient, wrapped or not,
-    sums at most nx products, so _kronecker's width bound with overlap nx
-    keeps every slot exact.
+    It is one big-integer product, x(2^b) * x(-2^b) with b = 4B bits:
+    two-point Kronecker substitution (Harvey 2009, see _kronecker) whose
+    product, even in alpha, holds one coefficient per slot of 2b bits.
+    With nx nonzero coefficients, each coefficient, wrapped or not, sums
+    at most nx products, so _kronecker's width bound with overlap nx keeps
+    every slot exact.
     """
-    m = len(c)
-    nx = m - c.count(0)
-    if nx * nx < 8 * m:
-        conjugate = list(c)
-        conjugate[1::2] = map(neg, c[1::2])  # x(-alpha)
-        return _wrapped(c, conjugate, -1)[0::2]
+    nx = len(c) - c.count(0)
     width, biases = _slots(c, c, nx)
     xp, xn = _pack(c, width, biases)
     return _unpack([xp * xn], width, biases, -1)

@@ -506,34 +506,33 @@ def test_pairwise_square_zero_products_vanish(n):
 
 @pytest.mark.parametrize("n", [4, 7, 12])
 def test_verify_makes_one_ideal_product_per_generator(n, monkeypatch):
+    # the ideal test is the relative norm mod 2, one fold per class
     lv = Level(n)
     m = lv.degree
-    pi_half = 1 | 1 << (m // 2)  # (1 + alpha)^(m/2) mod 2
-    # no d_j factor of a word class has this mask, so each product by it is
-    # an ideal test
-    assert all(1 ^ congruence._s_mask(lv, j) != pi_half for j in range(m))
     seen = []
+    norm_mod2 = congruence._norm_mod2
 
-    def counting(a, b, width):
-        if a == pi_half:
-            seen.append((b, width))
-        return cyc_mul_f2(a, b, width)
+    def counting(mask, width):
+        seen.append((mask, width))
+        return norm_mod2(mask, width)
 
-    monkeypatch.setattr(congruence, "cyc_mul_f2", counting)
+    monkeypatch.setattr(congruence, "_norm_mod2", counting)
     cert = verify_main_theorem(lv)
     tested = list(seen)
     gens = generator_system(lv).sqrt_gens
     assert len(tested) == len(gens) == len(cert.generators)
-    # each is the class minus 1, in Z[alpha]/2
-    expected = [(congruence._word_parities(lw.word) ^ 1, m) for lw in gens]
+    # each is the class itself, in Z[alpha]/2
+    expected = [(congruence._word_parities(lw.word), m) for lw in gens]
     assert tested == expected
+    assert {norm_mod2(mask, m) for mask, _ in tested} == {1}
 
 
 @pytest.mark.parametrize("n", range(4, 13))
 def test_real_kernel_of_the_ideal_test_is_the_coset_span(n):
     """The real masks killed by 1 + alpha^(m/2) form a space of dimension
     q = 2^(n-3) that holds V = span(s_q, r_1, ..., r_{q-1}), so they are V:
-    the ideal test accepts a real class exactly when it lies in 1 + V."""
+    the ideal test, the norm mod 2, accepts a real class exactly when it
+    lies in 1 + V."""
     lv = Level(n)
     m = lv.degree
     real = [1] + [pack_bits(seq_s(lv, j).coeffs) for j in range(1, m // 2)]
@@ -542,7 +541,7 @@ def test_real_kernel_of_the_ideal_test_is_the_coset_span(n):
     assert len(real) - gf2_rank(images) == 1 << (n - 3)
     basis = _coset_span_basis(lv)
     assert gf2_rank(basis) == 1 << (n - 3)
-    assert all(congruence._in_square_zero_ideal(lv, x) for x in basis)
+    assert all(congruence._norm_mod2(1 ^ x, m) == 1 for x in basis)
 
 
 def _break_r_block(monkeypatch):
@@ -909,7 +908,7 @@ def test_exhaustive_kernel_uses_neither_lemma_nor_rank(monkeypatch):
         raise AssertionError("the exhaustive count used the linear route")
 
     monkeypatch.setattr(congruence, "gf2_rank", forbidden)
-    monkeypatch.setattr(congruence, "_in_square_zero_ideal", forbidden)
+    monkeypatch.setattr(congruence, "_norm_mod2", forbidden)
     assert congruence._exhaustive_kernel(masks, lv.degree) == (1 << 16, 1)
 
 

@@ -757,9 +757,9 @@ def two_squares_halving(c: list) -> list:
 def test_one_product_halving_against_galois_route(monkeypatch, m):
     """_halve against the two half-length squares of the double loop and,
     up to m = 256, against galois_halving, on the two_point_vectors kinds
-    at bound_bits widths.  Every kind but the even- and odd-only ones is
-    fully dense, so from m = 8 on _halve packs it at overlap m, the width
-    bound; those two have m/2 nonzeros.  Beyond m = 256 one width and
+    at bound_bits widths.  _halve packs every kind at overlap nx, its
+    nonzero count: m, the width bound, for every kind but the even- and
+    odd-only ones, which have m/2 nonzeros.  Beyond m = 256 one width and
     three kinds run (the oracle's cost)."""
     overlaps = []
 
@@ -779,7 +779,7 @@ def test_one_product_halving_against_galois_route(monkeypatch, m):
             expected = two_squares_halving(c)
             overlaps.clear()
             assert cyclotomic._halve(c) == expected
-            assert overlaps == [nx] * (nx * nx >= DENSE_RULE * m)
+            assert overlaps == [nx]
             if small:
                 assert galois_halving(c) == expected
 
@@ -813,9 +813,9 @@ def halving_cases(m: int) -> list:
 @pytest.mark.parametrize("m", [1 << k for k in range(1, 12)])
 def test_one_product_per_tower_step(monkeypatch, m):
     """_halve on halving_cases against the two-squares reference and
-    galois_halving.  A dense x (nx^2 >= 8m) packs once, for its one
-    big-integer product, and calls neither _wrapped nor _kronecker; a
-    sparse x makes one _wrapped call, which stays on the double loop."""
+    galois_halving.  Every x, on either side of _wrapped's dense rule
+    (nx^2 >= 8m), packs once, for its one big-integer product, and calls
+    neither _wrapped nor _kronecker."""
     calls = []
 
     def spy(name, f):
@@ -827,17 +827,16 @@ def test_one_product_per_tower_step(monkeypatch, m):
 
     for name in ("_pack", "_wrapped", "_kronecker"):
         monkeypatch.setattr(cyclotomic, name, spy(name, getattr(cyclotomic, name)))
-    branches = set()
+    sides = set()
     for c in halving_cases(m):
         nx = m - c.count(0)
         expected = two_squares_halving(c)
         assert galois_halving(c) == expected
         calls.clear()
         assert cyclotomic._halve(c) == expected
-        dense = nx * nx >= DENSE_RULE * m
-        assert calls == (["_pack"] if dense else ["_wrapped"])
-        branches.add(dense)
-    assert branches == ({False, True} if m >= 8 else {False})
+        assert calls == ["_pack"]
+        sides.add(nx * nx >= DENSE_RULE * m)
+    assert sides == ({False, True} if m >= 8 else {False})
 
 
 def test_square_scans_its_operand_once(monkeypatch):

@@ -9,9 +9,9 @@ in the README section "The square-zero lemma at every level":
 - N(q(k, j)) = q(k - 1, j) one level down for k >= 1 and (k, j) != (1, 1),
   and N(q(1, 1)) = d_1^(-1) * (1 - s_1), which is 1 mod 2;
 - F lies in E at every level, so N sends each coset generator to 1 mod 2;
-- mod 2, N(x) is x(alpha)^2 read in beta, the fold of x's parity mask,
-  and the fold of a real class is 1 exactly when the verifier's ideal
-  test holds for it.
+- mod 2, N(x) is x(alpha)^2 read in beta, the fold of x's parity mask
+  that the verifier takes (congruence._norm_mod2), and the fold of a real
+  class is 1 exactly when 1 + alpha^(m/2) kills the class minus 1.
 """
 
 import random
@@ -30,9 +30,9 @@ from circunits import (
     seq_d,
     seq_s,
 )
-from circunits.congruence import _in_square_zero_ideal
+from circunits.congruence import _norm_mod2
 from circunits.cyclotomic import _halve
-from circunits.gf2 import pack_bits
+from circunits.gf2 import cyc_mul_f2, pack_bits
 
 
 def norm_down(x):
@@ -91,13 +91,6 @@ def test_f_lies_in_e_one_level_down():
             assert e_membership(lw.word), (n, lw.label)
 
 
-def fold(x, m):
-    """x(alpha)^2 mod 2 read in beta, where beta^(m/2) = 1 mod 2: bit i is
-    c_i + c_(i + m/2)."""
-    half = m // 2
-    return (x ^ x >> half) & ((1 << half) - 1)
-
-
 def random_real_mask(rng, m):
     """A conjugation-symmetric parity mask: bit m/2 clear, bit j = bit m - j."""
     x = rng.getrandbits(1)
@@ -118,19 +111,20 @@ def random_ideal_mask(rng, m):
     return x
 
 
-@pytest.mark.parametrize("n", range(4, 11))
+@pytest.mark.parametrize("n", range(4, 13))
 def test_fold_is_one_exactly_when_the_ideal_test_holds(n):
     rng = random.Random(n)
-    lv = Level(n)
-    m = lv.degree
+    m = Level(n).degree
     outcomes = set()
     for i in range(500):
         # every other class is 1 plus an element of the ideal
         x = 1 ^ random_ideal_mask(rng, m) if i % 2 else random_real_mask(rng, m)
+        fold = _norm_mod2(x, m)
         # N of any lift of x reduces to the fold of x
         lift = [(x >> e & 1) + 2 * rng.randint(-3, 3) for e in range(m)]
-        assert pack_bits(_halve(lift)) == fold(x, m)
-        holds = _in_square_zero_ideal(lv, x ^ 1)
-        assert (fold(x, m) == 1) == holds
+        assert pack_bits(_halve(lift)) == fold
+        # the ideal test: 1 + alpha^(m/2) = (1 + alpha)^(m/2) kills x - 1
+        holds = cyc_mul_f2(1 | 1 << m // 2, x ^ 1, m) == 0
+        assert (fold == 1) == holds
         outcomes.add(holds)
     assert outcomes == {True, False}
