@@ -8,7 +8,6 @@ exact ring element is always available.
 
 from __future__ import annotations
 
-import re
 from collections.abc import Mapping
 from functools import lru_cache, reduce
 from operator import mul
@@ -118,18 +117,19 @@ class UnitWord(_Frozen):
         }
 
 
-_WORD_TOKEN = re.compile(r"(?:(a)|d([0-9]+))(?:\^(-?[0-9]+))?")
-
-
 def parse_word(level: Level, text: str) -> UnitWord:
-    """Parse the CLI word syntax, e.g. 'a^3 * d1^-2 * d7^2'."""
+    """Parse the CLI word syntax, e.g. 'a^3 * d1^-2 * d7^2'.  re is imported
+    here, not with the package, which otherwise never needs it."""
+    import re
+
+    factor = re.compile(r"(?:(a)|d([0-9]+))(?:\^(-?[0-9]+))?")
     squeezed = text.replace(" ", "").replace("\t", "")
     if squeezed in ("", "1"):
         return UnitWord.identity(level)
     alpha_exp = 0
     exps: dict[int, int] = {}
     for token in squeezed.split("*"):
-        match = _WORD_TOKEN.fullmatch(token)
+        match = factor.fullmatch(token)
         if match is None:
             raise ValueError(f"cannot parse word factor {token!r}")
         exponent = int(match.group(3)) if match.group(3) else 1

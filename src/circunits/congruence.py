@@ -324,10 +324,13 @@ def _subset_products(masks: list[int], m: int) -> list[bytes]:
 def _exhaustive_kernel(masks: list[int], m: int) -> tuple[int, int]:
     """Count the delta-assignments whose product is 1, over all 2^g of them.
 
-    Returns (assignments, number of products equal to 1).  Each mask is an
-    involution and Z[alpha]/2 is commutative, so every subset product is
-    its own inverse: splitting the masks in two halves, P_A * P_B = 1 iff
-    P_A = P_B, and the count meets the two halves' products in the middle.
+    Returns (assignments, number of products equal to 1).  Each mask is
+    checked to be an involution by its own square, which mod 2 is
+    x(alpha^2), the fold of _norm_mod2 spread onto the even bits: the
+    square-zero lemma's per-class statement.  Z[alpha]/2 is commutative, so
+    every subset product is its own inverse: splitting the masks in two
+    halves, P_A * P_B = 1 iff P_A = P_B, and the count meets the two halves'
+    products in the middle, with neither linearity nor a rank.
     """
     for mask in masks:
         if cyc_mul_f2(mask, mask, m) != 1:
@@ -358,8 +361,10 @@ def verify_main_theorem(level: Level) -> Certificate:
     ideal squares to 0 mod 2, so prod (1 + x_i)^(delta_i) = 1 + sum delta_i
     x_i and nullity 0 of the linearized system is a proof at every n.  The
     exhaustive count over all products of the first WALK_GENERATORS
-    generators, which uses neither the lemma nor linearity, must agree with
-    it.  A true verdict pins the intersection of sqrt(F) with E to F.
+    generators must agree with it.  The count uses neither linearity nor
+    the rank; its premise, that every class squares to 1, is the lemma's
+    per-class statement, which it checks with its own product.  A true
+    verdict pins the intersection of sqrt(F) with E to F.
     """
     n = level.n
     started = time.perf_counter()

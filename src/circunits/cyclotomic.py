@@ -40,16 +40,18 @@ MAX_LEVEL = 12
 
 class _Frozen:
     """Base of the package's value types: immutable instances whose fields
-    are the names in __slots__.  ==, hash, repr, copy and pickle go over the
-    fields in order, == and hash through one operator.attrgetter, _fields.
-    Records bind their arguments to the fields in the one constructor below;
-    validating or hot types write theirs inline (a LabeledWord takes about
-    three times as long bound as inline, on x86_64 with Python 3.11)."""
+    are the names in __slots__.  ==, hash and repr go over the key fields,
+    _key, which are __slots__ unless a class names fewer (CycInt leaves out
+    its known_unit mark); == and hash through one operator.attrgetter,
+    _fields.  copy and pickle go over every field in __slots__.  Records
+    bind their arguments to the fields in the one constructor below;
+    validating types write theirs inline."""
 
     __slots__ = ()
 
     def __init_subclass__(cls) -> None:
-        cls._fields = attrgetter(*cls.__slots__)
+        cls._key = cls.__dict__.get("_key", cls.__slots__)
+        cls._fields = attrgetter(*cls._key)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -58,17 +60,21 @@ class _Frozen:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __init__(self, *args: object, **kwargs: object) -> None:
-        kind, names = type(self).__qualname__, self.__slots__
-        if len(args) > len(names):
-            raise TypeError(f"{kind} takes {len(names)} fields, got {len(args)}")
-        for name in kwargs.keys() - names[len(args) :]:
-            problem = "given twice" if name in names else "unknown"
-            raise TypeError(f"{kind} field {name!r} {problem}")
-        values = {**dict(zip(names, args)), **kwargs}
-        for name in names:
-            if name not in values:
-                raise TypeError(f"{kind} field {name!r} missing")
-            object.__setattr__(self, name, values[name])
+        names = self.__slots__
+        if kwargs or len(args) != len(names):
+            kind = type(self).__qualname__
+            if len(args) > len(names):
+                raise TypeError(f"{kind} takes {len(names)} fields, got {len(args)}")
+            for name in kwargs.keys() - names[len(args) :]:
+                problem = "given twice" if name in names else "unknown"
+                raise TypeError(f"{kind} field {name!r} {problem}")
+            kwargs.update(zip(names, args))
+            for name in names:
+                if name not in kwargs:
+                    raise TypeError(f"{kind} field {name!r} missing")
+            args = [kwargs[name] for name in names]
+        for name, value in zip(names, args):
+            object.__setattr__(self, name, value)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -79,7 +85,7 @@ class _Frozen:
         return hash(self._fields(self))
 
     def __repr__(self) -> str:
-        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._key)
         return f"{type(self).__qualname__}({shown})"
 
     def __reduce__(self) -> tuple:
@@ -286,12 +292,14 @@ def _check_same_level(a: CycInt, b: CycInt) -> None:
 class CycInt(_Frozen):
     """An element of Z[alpha] in reduced form: coeffs[j] is the coefficient
     of alpha^j for 0 <= j < 2^(n-1).  Only word values, from eval_word and
-    _galois_product, set known_unit (norm 1); ==, hash and repr ignore
-    it, and no operation passes it on.  Its constructor and from_terms leave
-    coefficients unchecked (all package callers pass ints; checks cost time).
+    _galois_product, set known_unit (norm 1); _key leaves it out of ==,
+    hash and repr, and no operation passes it on.  Its constructor and
+    from_terms leave coefficients unchecked (all package callers pass ints;
+    checks cost time).
     """
 
     __slots__ = ("level", "coeffs", "known_unit")
+    _key = ("level", "coeffs")
 
     def __init__(
         self, level: Level, coeffs: tuple[int, ...], known_unit: bool = False
@@ -304,17 +312,6 @@ class CycInt(_Frozen):
         object.__setattr__(self, "level", level)
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "known_unit", known_unit)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.level, self.coeffs) == (other.level, other.coeffs)
-
-    def __hash__(self) -> int:
-        return hash((self.level, self.coeffs))
-
-    def __repr__(self) -> str:
-        return f"CycInt(level={self.level!r}, coeffs={self.coeffs!r})"
 
     # ------------------------------------------------------------------ #
     # constructors

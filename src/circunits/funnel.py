@@ -73,15 +73,6 @@ class LabeledWord(_Frozen):
 
     __slots__ = ("label", "k", "j", "exponent", "word")
 
-    def __init__(
-        self, label: str, k: int | None, j: int, exponent: int, word: UnitWord
-    ) -> None:
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "j", j)
-        object.__setattr__(self, "exponent", exponent)
-        object.__setattr__(self, "word", word)
-
 
 class GeneratorSystem(_Frozen):
     """sqrt_gens, the coset generators of sqrt(F)/F as LabeledWords in fixed

@@ -898,6 +898,9 @@ def test_subset_products_slots_are_products(m):
 
 
 def test_exhaustive_kernel_uses_neither_lemma_nor_rank(monkeypatch):
+    """The count calls neither the rank nor the verifier's fold; the lemma's
+    per-class statement it needs, that each class squares to 1, it checks
+    with its own product."""
     lv = Level(8)
     masks = [
         congruence._word_parities(lw.word)

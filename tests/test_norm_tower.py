@@ -126,5 +126,9 @@ def test_fold_is_one_exactly_when_the_ideal_test_holds(n):
         # the ideal test: 1 + alpha^(m/2) = (1 + alpha)^(m/2) kills x - 1
         holds = cyc_mul_f2(1 | 1 << m // 2, x ^ 1, m) == 0
         assert (fold == 1) == holds
+        # the square: mod 2, x^2 = x(alpha^2), the fold spread onto even bits
+        square = cyc_mul_f2(x, x, m)
+        assert square == sum((fold >> i & 1) << 2 * i for i in range(m // 2))
+        assert (square == 1) == holds
         outcomes.add(holds)
     assert outcomes == {True, False}

@@ -247,32 +247,33 @@ def test_missing_and_surplus_arguments_raise_type_error():
 
 
 def test_only_cycint_writes_its_own_eq_and_hash():
-    """One ==/hash path: every value type takes both from the shared base
-    but CycInt, whose known_unit mark stays out of them."""
-    own = [cls for cls, *_ in CASES if {"__eq__", "__hash__"} & cls.__dict__.keys()]
-    assert own == [CycInt]
+    """One ==/hash/repr path: every value type takes all three from the
+    shared base, and only CycInt keys them on fewer fields than __slots__,
+    so that its known_unit mark stays out of them."""
+    written = {"__eq__", "__hash__", "__repr__"}
+    assert [cls for cls, *_ in CASES if written & cls.__dict__.keys()] == []
+    narrowed = [cls for cls, *_ in CASES if cls._key != cls.__slots__]
+    assert narrowed == [CycInt]
+    assert CycInt._key == ("level", "coeffs")
 
 
 def test_only_the_validating_or_hot_types_write_their_own_init():
     """One constructor path: the records take the shared base's binder;
-    the types that validate, and LabeledWord, which is hot, write their own."""
+    only the types that validate their fields write their own."""
     own = {cls for cls, *_ in CASES if "__init__" in cls.__dict__}
-    assert own == {Level, CycInt, UnitWord, SpecialCoordsMod2, GroupRingElt, LabeledWord}
+    assert own == {Level, CycInt, UnitWord, SpecialCoordsMod2, GroupRingElt}
 
 
 # ---------------------------------------------------------------------- #
 # the import graph
 
 
-def test_importing_the_package_loads_no_code_generators():
-    """A fresh interpreter, with no site packages (-S), imports the package
-    and its CLI without dataclasses, inspect or typing.  This is measured
-    in a subprocess because pytest itself loads all three."""
+def _loaded_by_fresh_import(imports, modules):
+    """Which of modules a fresh interpreter, with no site packages (-S),
+    has loaded after the given import statement.  This is measured in a
+    subprocess because pytest itself loads them."""
     src = Path(__file__).resolve().parents[1] / "src"
-    code = (
-        "import sys, circunits, circunits.cli; "
-        "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))"
-    )
+    code = f"import sys, {imports}; print(sorted({modules!r} & set(sys.modules)))"
     env = {**os.environ, "PYTHONPATH": str(src)}
     done = subprocess.run(
         [sys.executable, "-S", "-c", code],
@@ -282,4 +283,19 @@ def test_importing_the_package_loads_no_code_generators():
         timeout=60,
         check=True,
     )
-    assert done.stdout.strip() == "[]"
+    return done.stdout.strip()
+
+
+def test_importing_the_package_loads_no_code_generators():
+    """The package and its CLI import without dataclasses, inspect or
+    typing."""
+    loaded = _loaded_by_fresh_import(
+        "circunits, circunits.cli", {"dataclasses", "inspect", "typing"}
+    )
+    assert loaded == "[]"
+
+
+def test_importing_the_package_alone_loads_no_re():
+    """The library imports without re or enum: only parse_word needs re,
+    and imports it when called."""
+    assert _loaded_by_fresh_import("circunits", {"re", "enum"}) == "[]"
