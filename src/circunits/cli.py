@@ -229,20 +229,16 @@ def _cmd_unit(args: argparse.Namespace, out: TextIOBase) -> int:
     return 0
 
 
-def _print_check_lines(n: int, checks: Sequence[dict]) -> None:
-    for c in checks:
-        status = "PASS" if c["passed"] else "FAIL"
-        where = f" k={c['k']}" if "k" in c else ""
-        print(f"[n={n}] {status} {c['name']}{where}: {c['lhs']} == {c['rhs']}")
-
-
 def _cmd_identities(args: argparse.Namespace, out: TextIOBase) -> int:
     reports = []
     ok = True
     for level in _levels(args.n):
         n = level.n
         power_report = q_power_identities(level)
-        _print_check_lines(n, power_report["checks"])
+        for c in power_report["checks"]:
+            status = "PASS" if c["passed"] else "FAIL"
+            where = f" k={c['k']}" if "k" in c else ""
+            print(f"[n={n}] {status} {c['name']}{where}: {c['lhs']} == {c['rhs']}")
         ok = ok and power_report["all_passed"]
         transport_report = None
         if n >= 5:

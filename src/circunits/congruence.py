@@ -100,18 +100,6 @@ def e_membership(w: UnitWord) -> bool:
 # identity reports
 
 
-def _check_entry(name: str, level: Level, lhs: int, rhs: int, **extra):
-    """Compare two parity masks; report them by their B-classes."""
-    entry = {
-        "name": name,
-        "passed": lhs == rhs,
-        "lhs": special_mod2_from_parities(level, lhs).render(),
-        "rhs": special_mod2_from_parities(level, rhs).render(),
-    }
-    entry.update(extra)
-    return entry
-
-
 def q_power_identities(level: Level) -> dict:
     """Check the chain of congruences behind the half-power expansions.
 
@@ -133,43 +121,36 @@ def q_power_identities(level: Level) -> dict:
     checks = []
     for k in range(1, n - 2):
         half = 1 << (k - 1)
+        inv_mask = _word_parities(UnitWord.make(level, 0, {1: -half}))
+        d_half = 1 ^ _s_mask(level, half)
+        if cyc_mul_f2(d_half, inv_mask, m) != 1:
+            raise InternalInconsistency("d_1^(-2^(k-1)) is not 1/d_{2^(k-1)} mod 2")
         # P(k) is the product of the d_i over i = 2^(k-1), ..., 2^(n-4)
         indices = [1 << i for i in range(k - 1, n - 3)]
         pk = cyc_pow_f2(1 ^ _s_mask(level, 1), sum(indices), m)
-        inv_mask = _word_parities(UnitWord.make(level, 0, {1: -half}))
-        rhs = cyc_mul_f2(head_mask, pk, m)
-        checks.append(_check_entry("head_inverse_power", level, inv_mask, rhs, k=k))
-
-        mirror = (1 << (n - 1 - k)) - 1
-        lhs = cyc_pow_f2(1 ^ _s_mask(level, mirror), half, m)
-        rhs = 1 ^ _s_mask(level, half) ^ _r_mask(level, half)
-        checks.append(_check_entry("mirror_half_power", level, lhs, rhs, k=k))
-
+        d_mirror = 1 ^ _s_mask(level, (1 << (n - 1 - k)) - 1)
         q_half = _word_parities(q_word(level, k, 1) ** half)
-
-        if cyc_mul_f2(1 ^ _s_mask(level, half), inv_mask, m) != 1:
-            raise InternalInconsistency("d_1^(-2^(k-1)) is not 1/d_{2^(k-1)} mod 2")
-        rhs = 1 ^ cyc_mul_f2(_r_mask(level, half), inv_mask, m)
-        checks.append(
-            _check_entry("q_half_power_inverse_form", level, q_half, rhs, k=k)
-        )
-
-        rhs = 1 ^ cyc_mul_f2(_r_mask(level, half), pk, m)
-        checks.append(
-            _check_entry(
-                "q_half_power_p_form",
-                level,
-                q_half,
-                rhs,
-                k=k,
-                p_product="*".join(f"d_{i}" for i in indices),
-            )
-        )
-
+        r_half = _r_mask(level, half)
         prod = 1
         for i in indices:
             prod = cyc_mul_f2(1 ^ _s_mask(level, i), prod, m)
-        checks.append(_check_entry("p_factor_d_product", level, pk, prod, k=k))
+        for name, lhs, rhs in (
+            ("head_inverse_power", inv_mask, cyc_mul_f2(head_mask, pk, m)),
+            ("mirror_half_power", cyc_pow_f2(d_mirror, half, m), d_half ^ r_half),
+            ("q_half_power_inverse_form", q_half, 1 ^ cyc_mul_f2(r_half, inv_mask, m)),
+            ("q_half_power_p_form", q_half, 1 ^ cyc_mul_f2(r_half, pk, m)),
+            ("p_factor_d_product", pk, prod),
+        ):
+            entry = {
+                "name": name,
+                "passed": lhs == rhs,
+                "lhs": special_mod2_from_parities(level, lhs).render(),
+                "rhs": special_mod2_from_parities(level, rhs).render(),
+                "k": k,
+            }
+            if name == "q_half_power_p_form":
+                entry["p_product"] = "*".join(f"d_{i}" for i in indices)
+            checks.append(entry)
 
     r_masks = [_r_mask(level, l) for l in range(1, quarter)]
     fixes = all(cyc_mul_f2(r, head_mask, m) == r for r in r_masks)
@@ -398,7 +379,7 @@ def verify_main_theorem(level: Level) -> Certificate:
 
     walked = min(g, WALK_GENERATORS)
     exhaustive_assignments, kernel_size = _exhaustive_kernel(masks[:walked], m)
-    walk_nullity = walked - gf2_rank(columns[:walked])
+    walk_nullity = walked - (rank if walked == g else gf2_rank(columns[:walked]))
     if kernel_size != (1 << walk_nullity):
         raise DisagreementError(
             f"exhaustive kernel has {kernel_size} elements, linearized "

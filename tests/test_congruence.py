@@ -197,6 +197,36 @@ def test_q_power_identities_level_gate():
         q_power_identities(Level(3))
 
 
+INVERSE_POWER_FAULTS = {
+    # times d_1 = 1 + s_1: still real, but no longer 1/d_(2^(k-1))
+    "real": lambda lv, mask: cyc_mul_f2(1 ^ congruence._s_mask(lv, 1), mask, lv.degree),
+    # alpha^1 alone has no real partner, so no B-class renders from it
+    "non_real": lambda lv, mask: mask ^ 2,
+}
+
+
+@pytest.mark.parametrize("fault", sorted(INVERSE_POWER_FAULTS))
+def test_identities_check_the_inverse_power_premise_first(fault, monkeypatch, capsys):
+    # the class of d_1^(-2^(k-1)) is corrupted at every step k; the premise
+    # d_(2^(k-1)) * d_1^(-2^(k-1)) = 1 mod 2 must refuse it before any
+    # entry renders the corrupted class
+    lv = Level(5)
+    targets = {word(lv, {1: -(1 << k)}) for k in range(lv.n - 3)}
+    parities = congruence._word_parities
+
+    def corrupted(w, j=1):
+        mask = parities(w, j)
+        return INVERSE_POWER_FAULTS[fault](lv, mask) if w in targets else mask
+
+    monkeypatch.setattr(congruence, "_word_parities", corrupted)
+    with pytest.raises(InternalInconsistency, match="is not 1/d_"):
+        q_power_identities(lv)
+    assert main(["identities", "--n", "5"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "is not 1/d_" in captured.err
+
+
 @pytest.mark.parametrize("n", [5, 6, 7])
 def test_galois_transport(n):
     report = galois_transport_check(Level(n))
