@@ -131,8 +131,8 @@ def q_power_identities(level: Level) -> dict:
         d_mirror = 1 ^ _s_mask(level, (1 << (n - 1 - k)) - 1)
         q_half = _word_parities(q_word(level, k, 1) ** half)
         r_half = _r_mask(level, half)
-        prod = 1
-        for i in indices:
+        prod = d_half
+        for i in indices[1:]:
             prod = cyc_mul_f2(1 ^ _s_mask(level, i), prod, m)
         for name, lhs, rhs in (
             ("head_inverse_power", inv_mask, cyc_mul_f2(head_mask, pk, m)),
@@ -379,7 +379,7 @@ def verify_main_theorem(level: Level) -> Certificate:
 
     walked = min(g, WALK_GENERATORS)
     exhaustive_assignments, kernel_size = _exhaustive_kernel(masks[:walked], m)
-    walk_nullity = walked - (rank if walked == g else gf2_rank(columns[:walked]))
+    walk_nullity = walked - gf2_rank(columns[:walked])
     if kernel_size != (1 << walk_nullity):
         raise DisagreementError(
             f"exhaustive kernel has {kernel_size} elements, linearized "

@@ -124,8 +124,7 @@ def u_chi1(beta: CycInt) -> GroupRingElt:
     if not beta.known_unit:
         _require_unit(beta.norm())
     _require_one_mod2(pack_bits(beta.coeffs))
-    c = list(beta.coeffs)
-    c[0] -= 1
+    c = (beta - CycInt.one(beta.level)).coeffs
     gammas = [x // 2 for x in c] + [-x // 2 for x in c]
     gammas[0] += 1
     return GroupRingElt(beta.level, tuple(gammas))
