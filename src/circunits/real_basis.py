@@ -61,6 +61,19 @@ def _s_mask(level: Level, j: int) -> int:
     return (1 << j % m) ^ (1 << -j % m)
 
 
+def _times_d(level: Level, x: int, j: int) -> int:
+    """x * d_j mod 2 for an m-bit parity mask x and any integer j.
+
+    d_j = 1 + alpha^j + alpha^(-j) and alpha^m = 1 mod 2, so the product is
+    x plus its two rotations by +-j: two shifts under 2m bits, one fold.
+    For j = 0 or m/2 mod m the rotations cancel, as d_j = 1 mod 2 there.
+    """
+    m = level.degree
+    j %= m
+    y = x << j ^ x << m - j
+    return x ^ (y ^ y >> m) & ((1 << m) - 1)
+
+
 def _r_mask(level: Level, t: int) -> int:
     """Parity mask of r_t = s_t + s_(2^(n-2)-t)."""
     return _s_mask(level, t) ^ _s_mask(level, (1 << (level.n - 2)) - t)

@@ -429,22 +429,23 @@ def test_verify_square_zero_path(n):
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
 def test_s_mask_is_parity_of_exact_s(n):
-    # the verifier takes s_j, d_j and r_t masks from this closed form
+    # the identity reports take their lone d_j masks from this closed form,
+    # and _times_d is checked against it in test_real_basis.py
     lv = Level(n)
     for j in range(-lv.order, 2 * lv.order):
         assert congruence._s_mask(lv, j) == pack_bits(seq_s(lv, j).coeffs)
 
 
 def _break_square_zero_lemma(monkeypatch):
-    # hand out the mask of d_q = 1 + s_q for s_q (q = 2^(n-3)); d_q squares
-    # to 1 mod 2, so the lemma must fail on it
-    s_mask = congruence._s_mask
+    # multiply by s_q where d_q = 1 + s_q is asked for (q = 2^(n-3)); s_q
+    # squares to 0 mod 2, not 1, so the lemma must fail on it
+    times_d = congruence._times_d
 
-    def broken(level, j):
-        mask = s_mask(level, j)
-        return mask ^ 1 if j == 1 << (level.n - 3) else mask
+    def broken(level, x, j):
+        product = times_d(level, x, j)
+        return x ^ product if j == 1 << (level.n - 3) else product
 
-    monkeypatch.setattr(congruence, "_s_mask", broken)
+    monkeypatch.setattr(congruence, "_times_d", broken)
 
 
 @pytest.mark.parametrize("n", [5, 8])
@@ -575,14 +576,15 @@ def test_real_kernel_of_the_ideal_test_is_the_coset_span(n):
 
 
 def _break_r_block(monkeypatch):
-    # r_1 = s_1 + s_{2q-1} gains the constant bit, so r_1 is a unit mod 2
-    s_mask = congruence._s_mask
+    # multiply by s_1 where d_1 = 1 + s_1 is asked for: the constant bit of
+    # d_1 is lost, so the classes built on d_1 are no longer units mod 2
+    times_d = congruence._times_d
 
-    def broken(level, j):
-        mask = s_mask(level, j)
-        return mask ^ 1 if j == 1 else mask
+    def broken(level, x, j):
+        product = times_d(level, x, j)
+        return x ^ product if j == 1 else product
 
-    monkeypatch.setattr(congruence, "_s_mask", broken)
+    monkeypatch.setattr(congruence, "_times_d", broken)
 
 
 @pytest.mark.parametrize("n", [4, 8])
@@ -752,17 +754,29 @@ def test_cli_exits_3_when_the_exact_value_is_not_real(monkeypatch, capsys):
 
 
 def test_word_parities_checks_the_order_premise(monkeypatch):
-    # a d_j whose 2^(n-2)-th power is not 1 mod 2 must stop the reduction
-    s_mask = congruence._s_mask
+    # a d_j whose 2^(n-2)-th power is not 1 mod 2 must stop the reduction:
+    # d_(3 * 2^(n-2)) gains an alpha bit
+    times_d = congruence._times_d
     lv = Level(6)
 
-    def broken(level, j):
-        return s_mask(level, j) ^ (2 if j == 3 << (level.n - 2) else 0)
+    def broken(level, x, j):
+        return times_d(level, x, j) ^ (2 if j == 3 << (level.n - 2) else 0)
 
-    monkeypatch.setattr(congruence, "_s_mask", broken)
+    monkeypatch.setattr(congruence, "_times_d", broken)
     assert congruence._word_parities(word(lv, {1: 5, 5: -3})) > 1
     with pytest.raises(InternalInconsistency, match="order dividing"):
         congruence._word_parities(word(lv, {3: 1}))
+
+
+def test_word_parities_takes_no_general_product(monkeypatch):
+    # every factor of a word, and every order premise, is one d-class,
+    # multiplied in by _times_d
+    def refused(*args):
+        raise AssertionError("cyc_mul_f2 called")
+
+    monkeypatch.setattr(congruence, "cyc_mul_f2", refused)
+    for lw in generator_system(Level(9)).sqrt_gens:
+        assert congruence._word_parities(lw.word, 3) > 1, lw.label
 
 
 def _dense_word_parities(w):

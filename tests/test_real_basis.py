@@ -27,12 +27,13 @@ from circunits import (
     special_mod2,
 )
 from circunits.errors import InternalInconsistency
-from circunits.gf2 import pack_bits
+from circunits.gf2 import cyc_mul_f2, pack_bits
 from circunits.real_basis import (
     SpecialCoordsMod2,
     _position_labels,
     _r_mask,
     _s_mask,
+    _times_d,
     _token,
     special_mod2_from_parities,
 )
@@ -574,3 +575,19 @@ def test_tokens_name_the_lowest_mask_bit_as_the_fold_rule_did(n):
         r_tok = _fold_rule("r", 1 << (n - 2), j)
         assert s_table[j % len(s_table)] == _token("s", _s_mask(lv, j)) == s_tok
         assert r_table[j % len(r_table)] == _token("r", _r_mask(lv, j)) == r_tok
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_times_d_against_the_general_product(n):
+    # x * d_j by two rotations and one fold, against the general product by
+    # the mask of d_j; j runs over -m..2m, so j = 0 and m/2 mod m, where the
+    # rotations cancel, come up three times each
+    lv = Level(n)
+    m = lv.degree
+    rng = random.Random(n)
+    masks = [0, 1, (1 << m) - 1] + [rng.getrandbits(m) for _ in range(4)]
+    for j in range(-m, 2 * m + 1):
+        d_mask = 1 ^ _s_mask(lv, j)
+        assert _times_d(lv, 1, j) == d_mask, j
+        for x in masks:
+            assert _times_d(lv, x, j) == cyc_mul_f2(d_mask, x, m), (x, j)
