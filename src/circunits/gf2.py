@@ -16,6 +16,9 @@ __all__ = [
     "cyc_pow_f2",
 ]
 
+_DIGIT_BITS = bytes.maketrans(b"01", b"\0\1")
+_BIT_REVERSE = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
 
 def pack_bits(bits) -> int:
     """Pack the parities of an iterable of ints into an int, bit i = bits[i] & 1."""
@@ -31,7 +34,15 @@ def unpack_bits(value: int, width: int) -> tuple[int, ...]:
     # the slice reverses the digits and drops the "0" that format gives for
     # width 0; iterating the translated bytes yields the ints 0 and 1
     digits = format(value & ((1 << width) - 1), f"0{width}b")[: -width - 1 : -1]
-    return tuple(digits.encode().translate(bytes.maketrans(b"01", b"\0\1")))
+    return tuple(digits.encode().translate(_DIGIT_BITS))
+
+
+def _reverse_bits(value: int, width: int) -> int:
+    """Bit i of a value below 2^width moved to bit width - 1 - i: each byte
+    reversed through one table, their order by reading them big-endian."""
+    size = (width + 7) // 8
+    data = value.to_bytes(size, "little").translate(_BIT_REVERSE)
+    return int.from_bytes(data, "big") >> 8 * size - width
 
 
 def gf2_rank(rows: list[int]) -> int:

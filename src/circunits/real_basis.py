@@ -17,7 +17,7 @@ from itertools import compress
 
 from .cyclotomic import CycInt, Level, _Frozen
 from .errors import InternalInconsistency, NotReal
-from .gf2 import pack_bits, unpack_bits
+from .gf2 import _DIGIT_BITS, _reverse_bits, pack_bits
 
 __all__ = [
     "SpecialCoordsMod2",
@@ -123,7 +123,8 @@ class SpecialCoordsMod2(_Frozen):
         """Canonical text form, the labels of the set positions lowest
         first, e.g. '1+r_2+r_3'; '0' for the zero class."""
         labels = _position_labels(self.level.n)
-        return "+".join(compress(labels, unpack_bits(self.mask, len(labels)))) or "0"
+        digits = format(self.mask, f"0{len(labels)}b")[::-1]
+        return "+".join(compress(labels, digits.encode().translate(_DIGIT_BITS))) or "0"
 
     def coords_hex(self) -> str:
         width = ((1 << (self.level.n - 2)) + 3) // 4
@@ -152,12 +153,12 @@ def special_mod2_from_parities(level: Level, parities: int) -> SpecialCoordsMod2
     half = m // 2
     if not 0 <= parities < 1 << m:
         raise ValueError(f"need a parity mask of {m} bits, got {parities:#x}")
-    bits = format(parities, f"0{m}b")[::-1]  # bits[j] is the parity at alpha^j
-    if bits[half] == "1" or bits[1:] != bits[:0:-1]:
+    rev = _reverse_bits(parities, m)  # bit j - 1 is the parity at alpha^(m-j)
+    if parities >> half & 1 or parities & 1 | (rev << 1) & ((1 << m) - 1) != parities:
         raise InternalInconsistency("parity vector is not real mod 2")
     quarter = half // 2
     # bit t of moved is bit 2^(n-2)-t of parities, for 0 < t < 2^(n-3)
-    moved = int(bits[quarter + 1 : half] + "0", 2)
+    moved = (rev >> (half - 1)) & ((1 << quarter) - 1)
     out = parities & ((2 << quarter) - 1)
     return SpecialCoordsMod2(level, out ^ moved ^ (moved << quarter))
 

@@ -34,6 +34,7 @@ from circunits import circular_units, congruence, cyclotomic
 from circunits.cli import main
 from circunits.funnel import CERTIFIED_LEVELS
 from circunits.gf2 import cyc_mul_f2, cyc_pow_f2, gf2_rank, pack_bits
+from circunits.real_basis import special_mod2_from_parities
 
 
 def word(lv, exps, alpha=0):
@@ -242,17 +243,63 @@ def test_galois_transport_level_gate():
         galois_transport_check(Level(4))
 
 
+def _render_by_bits(lv, parities):
+    # per-bit B-rewrite of a real parity mask, s_(2^(n-2)-t) = r_t + s_t
+    # mod 2, and its labels in position order
+    half = lv.degree // 2
+    quarter = half // 2
+    coords = [0] * half
+    for j in range(half):
+        if (parities >> j) & 1:
+            if j <= quarter:
+                coords[j] ^= 1
+            else:
+                coords[half - j] ^= 1
+                coords[quarter + half - j] ^= 1
+    labels = ["1"] + [f"s_{p}" for p in range(1, quarter + 1)]
+    labels += [f"r_{t}" for t in range(1, quarter)]
+    return "+".join(text for text, c in zip(labels, coords) if c) or "0"
+
+
 def test_transport_can_fail(monkeypatch, capsys):
     # with sigma_j replaced by the identity map, q(k,1)^(2^(k-1)) is
     # "transported" onto itself, which only the j = 1 generators match
+    lv = Level(6)
     word_parities = congruence._word_parities
     monkeypatch.setattr(congruence, "_word_parities", lambda w, j=1: word_parities(w))
-    report = galois_transport_check(Level(6))
+    report = galois_transport_check(lv)
     assert not report["all_passed"]
     failed = [t["label"] for t in report["transports"] if not t["passed"]]
     assert failed == ["q(2,3)^2", "q(1,3)", "q(1,5)", "q(1,7)"]
+    gens = [lw for lw in generator_system(lv).sqrt_gens if lw.k is not None]
+    assert [lw.label for lw in gens] == [t["label"] for t in report["transports"]]
+    for lw, t in zip(gens, report["transports"]):
+        if t["passed"]:
+            assert t["transported"] == t["value"]
+        else:
+            mutated = word_parities(q_word(lv, lw.k, 1) ** (1 << (lw.k - 1)))
+            assert t["transported"] == _render_by_bits(lv, mutated)
+            assert t["transported"] != t["value"]
     assert main(["identities", "--n", "6"]) == 2
     assert "FAIL transport q(1,3)" in capsys.readouterr().out
+
+
+def test_identity_reports_convert_each_mask_once(monkeypatch):
+    # within one report every distinct parity mask is converted and
+    # rendered once, however many checks or transports show it
+    lv = Level(9)
+    seen = []
+
+    def spy(level, parities):
+        seen.append(parities)
+        return special_mod2_from_parities(level, parities)
+
+    monkeypatch.setattr(congruence, "special_mod2_from_parities", spy)
+    for report in (q_power_identities, galois_transport_check):
+        seen.clear()
+        assert report(lv)["all_passed"]
+        assert seen
+        assert len(seen) == len(set(seen))
 
 
 # ---------------------------------------------------------------------- #

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from circunits import CycInt, Level, gf2
 from circunits.gf2 import (
+    _reverse_bits,
     cyc_mul_f2,
     cyc_pow_f2,
     gf2_rank,
@@ -51,6 +52,18 @@ def test_unpack_bits_against_bit_loop():
         ):
             expected = tuple((value >> i) & 1 for i in range(width))
             assert unpack_bits(value, width) == expected
+
+
+@pytest.mark.parametrize(
+    "width", sorted({*range(1, 18), *(1 << (n - 1) for n in range(3, 13))})
+)
+def test_reverse_bits_against_bit_loop(width):
+    rng = random.Random(width)
+    values = [0, (1 << width) - 1, *(1 << i for i in range(width))]
+    values += [rng.getrandbits(width) for _ in range(10)]
+    for value in values:
+        expected = sum(((value >> i) & 1) << (width - 1 - i) for i in range(width))
+        assert _reverse_bits(value, width) == expected
 
 
 def test_pack_unpack():

@@ -84,6 +84,11 @@ CLI_DIGESTS = [
     ),
     *[(("funnel", "--n", str(n)), 0, d) for n, d in FUNNEL_DIGESTS.items()],
 ]
+# identities --n 9 and --n 12 --json files: both reports, every field.
+IDENTITIES_JSON_DIGESTS = {
+    9: "f4e467966db44748b722c064c9b5d4550738045a180e93af1f2442dfaef6f339",
+    12: "6d4917724b5f545c36eaf58db7b167fc43220d212c129ef7d7fd4e828d0dfeff",
+}
 V1_DIGEST_N7 = "ec45814cd890905bd94efeac7c850e398240bb9f5a06cf7cac65ea4433cb7a63"
 GR_MUL_DIGEST_N10 = "0625d1d2d975d57a82081256a117a285900d301ade88f6a817cbe24b5d2b8aa2"
 
@@ -98,6 +103,13 @@ def digest(text: str) -> str:
 def test_cli_stdout_bytes(argv, code, expected, capsys):
     assert main(list(argv)) == code
     assert digest(capsys.readouterr().out) == expected
+
+
+@pytest.mark.parametrize("n, expected", IDENTITIES_JSON_DIGESTS.items())
+def test_identities_json_bytes(n, expected, tmp_path):
+    path = tmp_path / "identities.json"
+    assert main(["identities", "--n", str(n), "--json", str(path)]) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == expected
 
 
 def v1_digest(report) -> str:
