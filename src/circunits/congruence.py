@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import time
 from collections import Counter
-from functools import cache
+from functools import cache, reduce
 
 from .circular_units import UnitWord, _galois_product
 from .cyclotomic import Level, _Frozen
@@ -32,7 +32,6 @@ from .real_basis import (
     SpecialCoordsMod2,
     _position_labels,
     _r_mask,
-    _s_mask,
     _times_d,
     special_mod2_from_parities,
 )
@@ -69,18 +68,18 @@ def _word_parities(w: UnitWord, j: int = 1) -> int:
     """
     if j % 2 == 0:
         raise EvenGaloisIndex(f"Galois index must be odd, got {j}")
-    level = w.level
-    shift = level.n - 2
-    parities = 1 << w.alpha_exp * j % level.degree
+    shift = w.level.n - 2
+    m = 2 << shift
+    parities = 1 << w.alpha_exp * j % m
     for i, e in w.d_exps:
         i *= j
-        if _times_d(level, 1, i << shift) != 1:
+        if _times_d(1, i << shift, m) != 1:
             raise InternalInconsistency(
                 f"d_{i} does not have order dividing 2^(n-2) mod 2"
             )
         for k in range(shift):  # the low bits of e, two's complement if e < 0
             if e >> k & 1:
-                parities = _times_d(level, parities, i << k)
+                parities = _times_d(parities, i << k, m)
     return parities
 
 
@@ -127,20 +126,18 @@ def q_power_identities(level: Level) -> dict:
     for k in range(1, n - 2):
         half = 1 << (k - 1)
         inv_mask = _word_parities(UnitWord.make(level, 0, {1: -half}))
-        if _times_d(level, inv_mask, half) != 1:
+        if _times_d(inv_mask, half, m) != 1:
             raise InternalInconsistency("d_1^(-2^(k-1)) is not 1/d_{2^(k-1)} mod 2")
         # P(k) is the product of the d_i over i = 2^(k-1), ..., 2^(n-4)
         indices = [1 << i for i in range(k - 1, n - 3)]
-        pk = cyc_pow_f2(1 ^ _s_mask(level, 1), sum(indices), m)
-        d_mirror = 1 ^ _s_mask(level, (1 << (n - 1 - k)) - 1)
+        pk = cyc_pow_f2(_times_d(1, 1, m), sum(indices), m)
+        d_mirror = _times_d(1, (1 << (n - 1 - k)) - 1, m)
         q_half = _word_parities(q_word(level, k, 1) ** half)
-        r_half = _r_mask(level, half)
-        d_half = 1 ^ _s_mask(level, half)
-        prod = d_half
-        for i in indices[1:]:
-            prod = _times_d(level, prod, i)
+        r_half = _r_mask(half, m)
+        d_half = _times_d(1, half, m)
+        prod = reduce(lambda x, i: _times_d(x, i, m), indices, 1)
         for name, lhs, rhs in (
-            ("head_inverse_power", inv_mask, _times_d(level, pk, quarter)),
+            ("head_inverse_power", inv_mask, _times_d(pk, quarter, m)),
             ("mirror_half_power", cyc_pow_f2(d_mirror, half, m), d_half ^ r_half),
             ("q_half_power_inverse_form", q_half, 1 ^ cyc_mul_f2(r_half, inv_mask, m)),
             ("q_half_power_p_form", q_half, 1 ^ cyc_mul_f2(r_half, pk, m)),
@@ -157,8 +154,8 @@ def q_power_identities(level: Level) -> dict:
                 entry["p_product"] = "*".join(f"d_{i}" for i in indices)
             checks.append(entry)
 
-    r_masks = [_r_mask(level, l) for l in range(1, quarter)]
-    fixes = all(_times_d(level, r, quarter) == r for r in r_masks)
+    r_masks = [_r_mask(l, m) for l in range(1, quarter)]
+    fixes = all(_times_d(r, quarter, m) == r for r in r_masks)
     checks.append(
         {
             "name": "sqrt2_head_fixes_r_block",

@@ -35,7 +35,7 @@ from .errors import EvenGaloisIndex, LevelMismatch, NotAUnit
 __all__ = ["CycInt", "Level"]
 
 MIN_LEVEL = 3
-MAX_LEVEL = 12
+MAX_LEVEL = 16
 
 
 class _Frozen:

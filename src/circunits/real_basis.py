@@ -51,32 +51,22 @@ def seq_r(level: Level, j: int) -> CycInt:
     return CycInt.from_terms(level, [(j, 1), (-j, 1), (q - j, 1), (j - q, 1)])
 
 
-def _s_mask(level: Level, j: int) -> int:
-    """Parity mask of s_j = alpha^j + alpha^(-j), for any integer j.
-
-    alpha^(+-j) reduces to +-alpha^(+-j mod m), so the two bits cancel
-    exactly when j = -j mod m.  The mask of d_j is 1 ^ s_j.
-    """
-    m = level.degree
-    return (1 << j % m) ^ (1 << -j % m)
-
-
-def _times_d(level: Level, x: int, j: int) -> int:
-    """x * d_j mod 2 for an m-bit parity mask x and any integer j.
+def _times_d(x: int, j: int, m: int) -> int:
+    """x * d_j mod 2 for an m-bit parity mask x and any integer j; the mask
+    of d_j is _times_d(1, j, m), and that of s_j = d_j - 1 is it xor 1.
 
     d_j = 1 + alpha^j + alpha^(-j) and alpha^m = 1 mod 2, so the product is
     x plus its two rotations by +-j: two shifts under 2m bits, one fold.
     For j = 0 or m/2 mod m the rotations cancel, as d_j = 1 mod 2 there.
     """
-    m = level.degree
     j %= m
     y = x << j ^ x << m - j
     return x ^ (y ^ y >> m) & ((1 << m) - 1)
 
 
-def _r_mask(level: Level, t: int) -> int:
-    """Parity mask of r_t = s_t + s_(2^(n-2)-t)."""
-    return _s_mask(level, t) ^ _s_mask(level, (1 << (level.n - 2)) - t)
+def _r_mask(t: int, m: int) -> int:
+    """Parity mask of r_t = s_t + s_(m/2-t) = d_t + d_(m/2-t) mod 2."""
+    return _times_d(1, t, m) ^ _times_d(1, m // 2 - t, m)
 
 
 # ---------------------------------------------------------------------- #
@@ -185,10 +175,12 @@ def _token(name: str, mask: int) -> str:
 def s_table_tokens(level: Level) -> list[str]:
     """Canonical tokens of s_j mod 2 for j = 0 .. 2^(n-1)-1, one period:
     '0' or 's_k' with 0 < k < 2^(n-2), from the bits +-j mod 2^(n-1)."""
-    return [_token("s", _s_mask(level, j)) for j in range(1 << (level.n - 1))]
+    m = level.degree
+    return [_token("s", _times_d(1, j, m) ^ 1) for j in range(m)]
 
 
 def r_table_tokens(level: Level) -> list[str]:
     """Canonical tokens of r_j mod 2 for j = 0 .. 2^(n-2)-1, one period:
     '0' or 'r_k' with 0 < k < 2^(n-3)."""
-    return [_token("r", _r_mask(level, j)) for j in range(1 << (level.n - 2))]
+    m = level.degree
+    return [_token("r", _r_mask(j, m)) for j in range(m // 2)]

@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, output shapes, reproducibility."""
 
 import importlib
+import io
 import json
 import os
 import re
@@ -83,7 +84,7 @@ def test_verify_top_level(capsys):
 
 
 def test_verify_out_of_range_level(capsys):
-    code, _, err = run(capsys, "verify", "--n", "13")
+    code, _, err = run(capsys, "verify", "--n", "17")
     assert code == 1
     assert "usage error" in err
 
@@ -348,6 +349,22 @@ def test_json_write_failure_is_a_usage_error(capsys, command):
     assert err.splitlines()[-1] == (
         "usage error: cannot write /dev/full: No space left on device"
     )
+
+
+def test_json_is_streamed_in_few_large_writes():
+    # the document is never held as one string; on an unbuffered stdout
+    # each write is a system call, so chunks go out thousands at a time
+    writes = []
+
+    class Sink(io.StringIO):
+        def write(self, text):
+            writes.append(text)
+            return len(text)
+
+    document = {"rows": [[i, str(i)] for i in range(20000)]}
+    cli._dump(document, Sink())
+    assert "".join(writes) == json.dumps(document, indent=2) + "\n"
+    assert 1 < len(writes) < 100
 
 
 class _BrokenStdout:

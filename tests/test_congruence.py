@@ -2,6 +2,7 @@
 
 import json
 import random
+from operator import xor
 
 import pytest
 from hypothesis import given, settings
@@ -200,7 +201,7 @@ def test_q_power_identities_level_gate():
 
 INVERSE_POWER_FAULTS = {
     # times d_1 = 1 + s_1: still real, but no longer 1/d_(2^(k-1))
-    "real": lambda lv, mask: cyc_mul_f2(1 ^ congruence._s_mask(lv, 1), mask, lv.degree),
+    "real": lambda lv, mask: congruence._times_d(mask, 1, lv.degree),
     # alpha^1 alone has no real partner, so no B-class renders from it
     "non_real": lambda lv, mask: mask ^ 2,
 }
@@ -214,15 +215,22 @@ def test_identities_check_the_inverse_power_premise_first(fault, monkeypatch, ca
     lv = Level(5)
     targets = {word(lv, {1: -(1 << k)}) for k in range(lv.n - 3)}
     parities = congruence._word_parities
+    injected = []
 
     def corrupted(w, j=1):
         mask = parities(w, j)
-        return INVERSE_POWER_FAULTS[fault](lv, mask) if w in targets else mask
+        if w not in targets:
+            return mask
+        injected.append(w)
+        return INVERSE_POWER_FAULTS[fault](lv, mask)
 
     monkeypatch.setattr(congruence, "_word_parities", corrupted)
     with pytest.raises(InternalInconsistency, match="is not 1/d_"):
         q_power_identities(lv)
+    assert injected
+    injected.clear()
     assert main(["identities", "--n", "5"]) == 3
+    assert injected
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "is not 1/d_" in captured.err
@@ -474,37 +482,55 @@ def test_verify_square_zero_path(n):
     assert "exploratory" not in data and "spot_checks" not in data
 
 
-@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
+@pytest.mark.parametrize("n", range(3, 13))
 def test_s_mask_is_parity_of_exact_s(n):
-    # the identity reports take their lone d_j masks from this closed form,
-    # and _times_d is checked against it in test_real_basis.py
+    # the masks of d_j and r_t come from _times_d, the parity ring's one
+    # primitive, and meet the exact ring here; that of s_j = d_j - 1 is the
+    # d_j mask xor 1, as the exact d_j and s_j differ by 1
     lv = Level(n)
+    m = lv.degree
     for j in range(-lv.order, 2 * lv.order):
-        assert congruence._s_mask(lv, j) == pack_bits(seq_s(lv, j).coeffs)
+        assert congruence._times_d(1, j, m) == pack_bits(seq_d(lv, j).coeffs), j
+    for t in range(m // 2 + 1):
+        assert congruence._r_mask(t, m) == pack_bits(seq_r(lv, t).coeffs), t
+
+
+def _break_times_d(monkeypatch, when, fault):
+    # congruence._times_d(x, j, m) returns fault(x, product) instead of the
+    # product wherever when(j, m) holds; returns the list of the j so
+    # broken, which each caller checks is not empty after its run
+    times_d = congruence._times_d
+    injected = []
+
+    def broken(x, j, m):
+        product = times_d(x, j, m)
+        if not when(j, m):
+            return product
+        injected.append(j)
+        return fault(x, product)
+
+    monkeypatch.setattr(congruence, "_times_d", broken)
+    return injected
 
 
 def _break_square_zero_lemma(monkeypatch):
     # multiply by s_q where d_q = 1 + s_q is asked for (q = 2^(n-3)); s_q
     # squares to 0 mod 2, not 1, so the lemma must fail on it
-    times_d = congruence._times_d
-
-    def broken(level, x, j):
-        product = times_d(level, x, j)
-        return x ^ product if j == 1 << (level.n - 3) else product
-
-    monkeypatch.setattr(congruence, "_times_d", broken)
+    return _break_times_d(monkeypatch, lambda j, m: j == m // 4, xor)
 
 
 @pytest.mark.parametrize("n", [5, 8])
 def test_verify_detects_broken_square_zero_lemma(n, monkeypatch):
-    _break_square_zero_lemma(monkeypatch)
+    injected = _break_square_zero_lemma(monkeypatch)
     with pytest.raises(InternalInconsistency, match="square-zero"):
         verify_main_theorem(Level(n))
+    assert injected
 
 
 def test_cli_exits_3_on_broken_square_zero_lemma(monkeypatch, capsys):
-    _break_square_zero_lemma(monkeypatch)
+    injected = _break_square_zero_lemma(monkeypatch)
     assert main(["verify", "--n", "8"]) == 3
+    assert injected
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "square-zero lemma fails" in captured.err
@@ -513,8 +539,9 @@ def test_cli_exits_3_on_broken_square_zero_lemma(monkeypatch, capsys):
 def test_cli_failed_run_leaves_empty_json(monkeypatch, tmp_path, capsys):
     target = tmp_path / "cert.json"
     target.write_text("stale certificate\n")
-    _break_square_zero_lemma(monkeypatch)
+    injected = _break_square_zero_lemma(monkeypatch)
     assert main(["verify", "--n", "5", "--json", str(target)]) == 3
+    assert injected
     assert capsys.readouterr().out == ""
     assert target.read_text() == ""
 
@@ -625,25 +652,21 @@ def test_real_kernel_of_the_ideal_test_is_the_coset_span(n):
 def _break_r_block(monkeypatch):
     # multiply by s_1 where d_1 = 1 + s_1 is asked for: the constant bit of
     # d_1 is lost, so the classes built on d_1 are no longer units mod 2
-    times_d = congruence._times_d
-
-    def broken(level, x, j):
-        product = times_d(level, x, j)
-        return x ^ product if j == 1 else product
-
-    monkeypatch.setattr(congruence, "_times_d", broken)
+    return _break_times_d(monkeypatch, lambda j, m: j == 1, xor)
 
 
 @pytest.mark.parametrize("n", [4, 8])
 def test_verify_detects_broken_r_block(n, monkeypatch):
-    _break_r_block(monkeypatch)
+    injected = _break_r_block(monkeypatch)
     with pytest.raises(InternalInconsistency, match="square-zero"):
         verify_main_theorem(Level(n))
+    assert injected
 
 
 def test_cli_exits_3_on_broken_r_block(monkeypatch, capsys):
-    _break_r_block(monkeypatch)
+    injected = _break_r_block(monkeypatch)
     assert main(["verify", "--n", "6"]) == 3
+    assert injected
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "square-zero lemma fails" in captured.err
@@ -665,7 +688,7 @@ def _move_one_class(monkeypatch, lv, fault):
 
 CLASS_FAULTS = {
     # real, but outside 1 + V
-    "low_s": lambda lv, mask: mask ^ congruence._s_mask(lv, 1),
+    "low_s": lambda lv, mask: mask ^ 1 ^ congruence._times_d(1, 1, lv.degree),
     "lost_constant": lambda lv, mask: mask ^ 1,
 }
 
@@ -687,9 +710,10 @@ def test_cli_exits_3_on_a_class_outside_one_plus_v(n, fault, monkeypatch, capsys
 @pytest.mark.parametrize("fault", ["s_q", "r_1"])
 def test_cli_exits_3_on_a_broken_sequence_mask(n, fault, monkeypatch, capsys):
     breaks = {"s_q": _break_square_zero_lemma, "r_1": _break_r_block}
-    breaks[fault](monkeypatch)
+    injected = breaks[fault](monkeypatch)
     labels = [lw.label for lw in generator_system(Level(n)).sqrt_gens]
     assert main(["verify", "--n", str(n)]) == 3
+    assert injected
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "square-zero lemma fails" in captured.err
@@ -803,16 +827,15 @@ def test_cli_exits_3_when_the_exact_value_is_not_real(monkeypatch, capsys):
 def test_word_parities_checks_the_order_premise(monkeypatch):
     # a d_j whose 2^(n-2)-th power is not 1 mod 2 must stop the reduction:
     # d_(3 * 2^(n-2)) gains an alpha bit
-    times_d = congruence._times_d
     lv = Level(6)
-
-    def broken(level, x, j):
-        return times_d(level, x, j) ^ (2 if j == 3 << (level.n - 2) else 0)
-
-    monkeypatch.setattr(congruence, "_times_d", broken)
+    injected = _break_times_d(
+        monkeypatch, lambda j, m: j == 3 * m // 2, lambda x, product: product ^ 2
+    )
     assert congruence._word_parities(word(lv, {1: 5, 5: -3})) > 1
+    assert not injected
     with pytest.raises(InternalInconsistency, match="order dividing"):
         congruence._word_parities(word(lv, {3: 1}))
+    assert injected
 
 
 def test_word_parities_takes_no_general_product(monkeypatch):

@@ -65,11 +65,11 @@ def flat_trace(a: CycInt) -> int:
 
 def test_level_bounds():
     Level(3)
-    Level(12)
+    Level(16)
     with pytest.raises(ValueError):
         Level(2)
     with pytest.raises(ValueError):
-        Level(13)
+        Level(17)
     with pytest.raises(TypeError):
         Level(4.0)
 

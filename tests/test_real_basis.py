@@ -32,7 +32,6 @@ from circunits.real_basis import (
     SpecialCoordsMod2,
     _position_labels,
     _r_mask,
-    _s_mask,
     _times_d,
     _token,
     special_mod2_from_parities,
@@ -569,25 +568,25 @@ def _fold_rule(name, period, j):
 @pytest.mark.parametrize("n", range(3, 13))
 def test_tokens_name_the_lowest_mask_bit_as_the_fold_rule_did(n):
     lv = Level(n)
+    m = lv.degree
     s_table, r_table = s_table_tokens(lv), r_table_tokens(lv)
     for j in range(-3 << n, 3 << n):
         s_tok = _fold_rule("s", 1 << (n - 1), j)
         r_tok = _fold_rule("r", 1 << (n - 2), j)
-        assert s_table[j % len(s_table)] == _token("s", _s_mask(lv, j)) == s_tok
-        assert r_table[j % len(r_table)] == _token("r", _r_mask(lv, j)) == r_tok
+        assert s_table[j % len(s_table)] == _token("s", _times_d(1, j, m) ^ 1) == s_tok
+        assert r_table[j % len(r_table)] == _token("r", _r_mask(j, m)) == r_tok
 
 
 @pytest.mark.parametrize("n", range(3, 13))
 def test_times_d_against_the_general_product(n):
     # x * d_j by two rotations and one fold, against the general product by
-    # the mask of d_j; j runs over -m..2m, so j = 0 and m/2 mod m, where the
-    # rotations cancel, come up three times each
-    lv = Level(n)
-    m = lv.degree
+    # the mask of d_j, _times_d(1, j, m), which test_congruence.py checks
+    # against the exact d_j; j runs over -m..2m, so j = 0 and m/2 mod m,
+    # where the rotations cancel, come up three times each
+    m = 1 << (n - 1)
     rng = random.Random(n)
     masks = [0, 1, (1 << m) - 1] + [rng.getrandbits(m) for _ in range(4)]
     for j in range(-m, 2 * m + 1):
-        d_mask = 1 ^ _s_mask(lv, j)
-        assert _times_d(lv, 1, j) == d_mask, j
+        d_mask = _times_d(1, j, m)
         for x in masks:
-            assert _times_d(lv, x, j) == cyc_mul_f2(d_mask, x, m), (x, j)
+            assert _times_d(x, j, m) == cyc_mul_f2(d_mask, x, m), (x, j)

@@ -206,8 +206,8 @@ def test_the_verifier_builds_its_records_by_keyword():
 @pytest.mark.parametrize(
     "build, message",
     [
-        (lambda: Level(2), "level n must satisfy 3 <= n <= 12, got 2"),
-        (lambda: Level(13), "level n must satisfy 3 <= n <= 12, got 13"),
+        (lambda: Level(2), "level n must satisfy 3 <= n <= 16, got 2"),
+        (lambda: Level(17), "level n must satisfy 3 <= n <= 16, got 17"),
         (lambda: CycInt(L4, (1, 2)), "need 8 coefficients at n=4, got 2"),
         (lambda: UnitWord(L4, 16, ()), "alpha exponent must be stored reduced; use make()"),
         (lambda: UnitWord(L4, 0, ((3, 1), (1, 1))), "d-exponents must be sorted by index"),
