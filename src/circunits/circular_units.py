@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from functools import lru_cache, reduce
-from operator import mul
+from operator import mul, neg
 
-from .cyclotomic import CycInt, Level, _Frozen, _divide
+from .cyclotomic import CycInt, Level, _Frozen, _times_1_plus_s, _wrapped
 from .errors import IndexOutOfRange, InternalInconsistency, LevelMismatch
 from .real_basis import seq_d
 
@@ -167,18 +167,33 @@ def _d_inverse(n: int) -> CycInt:
     return seed
 
 
+def _times_d_inverse(x: list[int], j: int, n: int) -> list[int]:
+    """x * d_j^(-1) with no division: d_i * (1 - s_i) = 1 - s_i^2 = -d_(2i), and
+    d_(2^(n-2) j) = 1 for odd j, so d_j^(-1) = (-1)^n prod_(t<n-2) (1 - s_(2^t j))."""
+    for t in range(n - 2):
+        x = _times_1_plus_s(x, j << t, -1)
+    return list(map(neg, x)) if n % 2 else x
+
+
 def eval_word(w: UnitWord) -> CycInt:
-    """Exact ring element of a word: alpha^a times its positive d-powers,
-    divided once by the product of its negative ones.  The value has norm
-    1 by construction and is marked known_unit."""
-    n = w.level.n
-    above = [_d_power(n, e).galois(j) for j, e in w.d_exps if e > 0]
-    below = [_d_power(n, -e).galois(j) for j, e in w.d_exps if e < 0]
-    if w.alpha_exp or not w.d_exps:  # alpha^0 = 1 is the empty word's value
-        above.append(CycInt.monomial(w.level, w.alpha_exp))
-    value = reduce(mul, above).coeffs if above else None
-    if below:
-        value = _divide(value, reduce(mul, below).coeffs)
+    """Exact ring element of a word, with no division: one square-and-multiply
+    pass down the bits of the largest |e_j|, each bit a square, then d_j or
+    _times_d_inverse for each j with the bit set in |e_j|; alpha^a last, as
+    a signed rotation.  Its norm is 1 by construction: marked known_unit."""
+    n, m = w.level.n, w.level.degree
+    value = [1] + [0] * (m - 1)
+    top = max([abs(e) for _, e in w.d_exps], default=0).bit_length()
+    for k in reversed(range(top)):
+        if k < top - 1:
+            value = _wrapped(value, value, -1)
+        for j, e in w.d_exps:
+            if e > 0 and e >> k & 1:
+                value = _times_1_plus_s(value, j, 1)
+            elif e < 0 and -e >> k & 1:
+                value = _times_d_inverse(value, j, n)
+    a = w.alpha_exp & (m - 1)  # alpha^a: the top a terms wrap round, negated
+    head, low = value[m - a :], value[: m - a]
+    value = [*head, *map(neg, low)] if w.alpha_exp & m else [*map(neg, head), *low]
     return CycInt(w.level, tuple(value), known_unit=True)
 
 

@@ -51,7 +51,7 @@ __all__ = [
 # (all generators for n <= 7) from the subset products of each half.  On
 # CERTIFIED_LEVELS each class is also recomputed in Z[alpha] by _galois_product,
 # whose inverses are powers of the closed form of d_1^(-1), with no division
-# (one-shot words take eval_word's division), and its parities compared.
+# (one-shot words take eval_word, which has none either), and its parities compared.
 WALK_GENERATORS = 16
 
 

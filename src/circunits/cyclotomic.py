@@ -274,6 +274,24 @@ def _divide(p: Sequence[int] | None, c: Sequence[int]) -> list[int]:
     return num
 
 
+def _times_1_plus_s(x: Sequence[int], i: int, sign: int) -> list[int]:
+    """x * (1 + sign * s_i), s_i = alpha^i + alpha^(-i), for any integer i: x * d_i
+    at sign 1, the exact counterpart of real_basis._times_d.  s_i = s_(-i) =
+    -s_(m-i) folds i to 0 <= k <= m/2; what x's rotations by +-k wrap past
+    alpha^m = -1 enters negated.  Three slice regions, two C-level maps each."""
+    m = len(x)
+    k = min(i % (2 * m), -i % (2 * m))
+    if 2 * k > m:
+        k, sign = m - k, -sign
+    op, inv = (add, sub) if sign > 0 else (sub, add)
+    q = m - k
+    return [
+        *map(inv, map(op, x[:k], x[k : 2 * k]), x[q:]),
+        *map(op, map(op, x[k:q], x[: q - k]), x[2 * k :]),
+        *map(inv, map(op, x[q:], x[q - k : q]), x[:k]),
+    ]
+
+
 def _require_unit(norm: int) -> None:
     """Refuse an element whose norm is not a unit of Z.  A norm over 8192
     bits is named by its bit-length: Python prints no int of more than

@@ -7,6 +7,7 @@ the library's words and beta units.
 
 import random
 from dataclasses import dataclass
+from operator import add, neg, sub
 
 import pytest
 from hypothesis import given, settings
@@ -28,7 +29,7 @@ from circunits import (
     parse_word,
     seq_d,
 )
-from circunits import circular_units
+from circunits import circular_units, cyclotomic
 from circunits.cli import main
 
 
@@ -217,35 +218,161 @@ def eval_word_per_factor(w: UnitWord) -> CycInt:
     return acc
 
 
-@pytest.mark.parametrize("n", range(4, 11))
-def test_eval_word_against_per_factor_route(monkeypatch, n):
-    """Words with all-positive, all-negative and mixed exponents, with and
-    without an alpha power, and the identity word: eval_word agrees with
-    the per-factor route and divides at most once, exactly when some
-    exponent is negative: one top-level call of the division helper, whose
-    descent below the top level is not counted."""
-    lv = Level(n)
-    rng = random.Random(300 + n)
+def random_d_words(lv: Level, rng: random.Random, top: int) -> list[UnitWord]:
+    """The identity word, a bare alpha power, and three-factor words with
+    all-positive, all-negative and mixed exponents up to +-top, each with
+    and without an alpha power."""
     indices = d_index_set(lv)
     words = [UnitWord.identity(lv), UnitWord.make(lv, 5)]
     for signs in ((1, 1, 1), (-1, -1, -1), (1, -1, -1), (-1, 1, -1)):
         js = rng.sample(indices, min(len(signs), len(indices)))
-        exps = {j: s * rng.randint(1, 5) for j, s in zip(js, signs)}
+        exps = {j: s * rng.randint(1, top) for j, s in zip(js, signs)}
         for alpha_exp in (0, rng.randrange(1, lv.order)):
             words.append(UnitWord.make(lv, alpha_exp, exps))
-    expected = [eval_word_per_factor(w) for w in words]
-    real_divide = circular_units._divide
-    descents = []
+    return words
 
-    def spy(p, c):
-        descents.append(c)
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_eval_word_against_per_factor_route(monkeypatch, n):
+    """Words with exponents up to +-128: eval_word agrees with the
+    per-factor route, marks its value, and neither divides nor reads a
+    cached d_1 power.  Both spies are live: the routes that keep the
+    division and the cache, invert_unit and _galois_product, call them."""
+    lv = Level(n)
+    words = random_d_words(lv, random.Random(300 + n), 128)
+    expected = [eval_word_per_factor(w) for w in words]
+    calls = []
+    real_divide, real_d_power = cyclotomic._divide, circular_units._d_power
+
+    def divide(p, c):
+        calls.append("_divide")
         return real_divide(p, c)
 
-    monkeypatch.setattr(circular_units, "_divide", spy)
+    def d_power(n, e):
+        calls.append("_d_power")
+        return real_d_power(n, e)
+
+    monkeypatch.setattr(cyclotomic, "_divide", divide)
+    monkeypatch.setattr(circular_units, "_d_power", d_power)
     for w, want in zip(words, expected):
-        descents.clear()
-        assert eval_word(w) == want, w.render()
-        assert len(descents) == any(e < 0 for _, e in w.d_exps), w.render()
+        value = eval_word(w)
+        assert value == want, w.render()
+        assert value.known_unit, w.render()
+    assert calls == []
+    seq_d(lv, 1).invert_unit()
+    assert set(calls) == {"_divide"}
+    circular_units._galois_product(UnitWord.make(lv, 0, {1: -2}))
+    assert calls[-1] == "_d_power"
+
+
+def sparse(pairs, m: int) -> dict[int, int]:
+    """Oracle: the sum of c * alpha^e over (e, c) pairs as {exponent:
+    coefficient}, exponents reduced into 0..m-1 by alpha^m = -1, zeros
+    dropped."""
+    out: dict[int, int] = {}
+    for e, c in pairs:
+        k = e % (2 * m)
+        out[k % m] = out.get(k % m, 0) + (-c if k >= m else c)
+    return {k: c for k, c in out.items() if c}
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_d_inverse_is_n_minus_2_three_term_factors(n):
+    """d_i (1 - s_i) = 1 - s_i^2 = -d_(2i), so the chain d_j (1 - s_j)
+    (1 - s_(2j)) ... stays one signed d: after t factors it is
+    (-1)^t d_(2^t j), and after n - 2 it is (-1)^n, as d_(2^(n-2) j) = 1 for
+    odd j.  Every j of the generator set, j >= m and negative j, in exact
+    sparse arithmetic of Z[alpha]."""
+    m = Level(n).degree
+    for j in [*d_index_set(Level(n)), m + 1, 2 * m - 1, 3 * m + 5, -1, -3, -m - 5]:
+        chain = sparse([(0, 1), (j, 1), (-j, 1)], m)
+        for t in range(n - 2):
+            i, sign = j << t, (-1) ** (t + 1)
+            factor = sparse([(0, 1), (i, -1), (-i, -1)], m)
+            chain = sparse(
+                [(e + f, c * d) for e, c in chain.items() for f, d in factor.items()], m
+            )
+            want = sparse([(0, sign), (2 * i, sign), (-2 * i, sign)], m)
+            assert chain == want, (j, t)
+        assert chain == {0: (-1) ** n}, j
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_three_term_kernel_against_the_dense_product(n):
+    """_times_1_plus_s(x, i, sign) is x * (1 + sign * s_i) by _wrapped on
+    the explicit three-term vector, for both signs and every shift class
+    of i: 0 mod m, m/2, below m/2, above m/2, from m to 2m, and negative."""
+    lv = Level(n)
+    m = lv.degree
+    rng = random.Random(900 + n)
+    x = [rng.randrange(-(1 << 200), 1 << 200) for _ in range(m)]
+    shifts = [0, m, 2 * m, -m, m // 2, 3 * m // 2, 1, m // 2 - 1, m // 2 + 1]
+    shifts += [m - 1, m + 1, 2 * m - 1, -1, -(m // 2) - 1, -3 * m - 1]
+    shifts += [rng.randrange(-4 * m, 4 * m) for _ in range(4)]
+    for i in shifts:
+        for sign in (1, -1):
+            factor = CycInt.from_terms(lv, [(0, 1), (i, sign), (-i, sign)])
+            want = cyclotomic._wrapped(x, list(factor.coeffs), -1)
+            assert cyclotomic._times_1_plus_s(x, i, sign) == want, (i, sign)
+
+
+def _unsigned_inverse(x, j, n):
+    """_times_d_inverse with its (-1)^n dropped."""
+    for t in range(n - 2):
+        x = cyclotomic._times_1_plus_s(x, j << t, -1)
+    return x
+
+
+def _short_inverse(x, j, n):
+    """_times_d_inverse with its chain cut to n - 3 factors."""
+    for t in range(n - 3):
+        x = cyclotomic._times_1_plus_s(x, j << t, -1)
+    return list(map(neg, x)) if n % 2 else x
+
+
+def _unwrapped_kernel(x, i, sign):
+    """_times_1_plus_s with its wrapped terms added, not subtracted: the
+    rotations by +-k taken as if alpha^m were 1."""
+    m = len(x)
+    k = min(i % (2 * m), -i % (2 * m))
+    if 2 * k > m:
+        k, sign = m - k, -sign
+    op = add if sign > 0 else sub
+    q = m - k
+    return [
+        *map(op, map(op, x[:k], x[k : 2 * k]), x[q:]),
+        *map(op, map(op, x[k:q], x[: q - k]), x[2 * k :]),
+        *map(op, map(op, x[q:], x[q - k : q]), x[:k]),
+    ]
+
+
+@pytest.mark.parametrize(
+    "name, fault",
+    [
+        ("_times_d_inverse", _unsigned_inverse),
+        ("_times_d_inverse", _short_inverse),
+        ("_times_1_plus_s", _unwrapped_kernel),
+    ],
+    ids=["sign-dropped", "chain-cut", "wrap-unsigned"],
+)
+@pytest.mark.parametrize("n", [5, 7, 9])
+def test_eval_word_faults_are_caught(monkeypatch, name, fault, n):
+    """Each fault, patched into eval_word's path, is called, and the
+    per-factor comparison above catches it.  The sign fault shows only at
+    odd n, where (-1)^n = -1."""
+    lv = Level(n)
+    words = random_d_words(lv, random.Random(300 + n), 128)
+    expected = [eval_word_per_factor(w) for w in words]
+    calls = []
+
+    def spy(*args):
+        calls.append(args[1:])
+        return fault(*args)
+
+    monkeypatch.setattr(circular_units, name, spy)
+    wrong = [w.render() for w, want in zip(words, expected) if eval_word(w) != want]
+    assert calls
+    assert wrong
 
 
 @pytest.mark.parametrize("n", range(3, 11))

@@ -751,8 +751,8 @@ def test_class_moved_inside_one_plus_v_reaches_the_later_checks(
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7])
 def test_exact_cross_check_value_is_the_word_value(n):
-    # the verifier's division-free product and eval_word's one division
-    # give the same element for every coset generator
+    # the verifier's product of cached powers and eval_word's one
+    # square-and-multiply pass give the same element for every coset generator
     for lw in generator_system(Level(n)).sqrt_gens:
         assert circular_units._galois_product(lw.word) == eval_word(lw.word), lw.label
 
@@ -772,7 +772,6 @@ def test_exact_cross_check_descends_no_tower(monkeypatch):
 
     monkeypatch.setattr(CycInt, "invert_unit", descended)
     monkeypatch.setattr(cyclotomic, "_divide", descended)
-    monkeypatch.setattr(circular_units, "_divide", descended)
     monkeypatch.setattr(circular_units, "eval_word", refused)
     monkeypatch.setattr(congruence, "eval_word", refused, raising=False)
     lv = Level(7)

@@ -423,7 +423,6 @@ def test_v1_generators_descend_no_tower(monkeypatch):
 
     monkeypatch.setattr(CycInt, "invert_unit", descended)
     monkeypatch.setattr(cyclotomic, "_divide", descended)
-    monkeypatch.setattr(circular_units, "_divide", descended)
     monkeypatch.setattr(circular_units, "eval_word", refused)
     lv = Level(7)
     report = v1_generators(lv)
