@@ -148,20 +148,17 @@ def parse_word(level: Level, text: str) -> UnitWord:
 @lru_cache(maxsize=None)
 def _d_power(n: int, e: int) -> CycInt:
     """d_1^e: d_j^e is its Galois image sigma_j(d_1^e), so one power per
-    exponent serves every index.  A negative e raises the closed form
-    _d_inverse(n), so no power descends the tower."""
-    base = seq_d(Level(n), 1) if e >= 0 else _d_inverse(n)
+    exponent serves every index.  A negative e raises the seed _d_seed(n),
+    so no power descends the tower and none is made from another entry."""
+    base = seq_d(Level(n), 1) if e >= 0 else _d_seed(n)
     return base ** abs(e)
 
 
 @lru_cache(maxsize=None)
-def _d_inverse(n: int) -> CycInt:
-    """d_1^(-1) with no division.  d_1 = alpha^(-1)(1 - alpha^3)/(1 - alpha),
-    so d_1^(-1) = alpha * sum_(i<t) alpha^(3i) with 3t = 1 mod 2^n, checked
-    once per level by one product."""
+def _d_seed(n: int) -> CycInt:
+    """d_1^(-1): _times_d_inverse applied to 1, checked by one product."""
     level = Level(n)
-    t = pow(3, -1, level.order)
-    seed = CycInt.from_terms(level, ((3 * i + 1, 1) for i in range(t)))
+    seed = CycInt(level, tuple(_times_d_inverse([1] + [0] * (level.degree - 1), 1, n)))
     if seq_d(level, 1) * seed != CycInt.one(level):
         raise InternalInconsistency("the closed form of d_1^(-1) is not its inverse")
     return seed
@@ -200,8 +197,8 @@ def eval_word(w: UnitWord) -> CycInt:
 def _galois_product(w: UnitWord) -> CycInt:
     """The value of a word of d-factors only, no alpha power, with no
     division: one product of the Galois images of cached d_1 powers, the
-    inverses among them included.  It pays where words share exponents.
-    Each factor has norm 1, so the value is marked known_unit."""
+    inverses among them included.  Each factor has norm 1, so the value is
+    marked known_unit."""
     value = reduce(mul, [_d_power(w.level.n, e).galois(j) for j, e in w.d_exps])
     return CycInt(w.level, value.coeffs, known_unit=True)
 

@@ -50,8 +50,8 @@ __all__ = [
 # The exhaustive count covers all products of the first 16 coset generators
 # (all generators for n <= 7) from the subset products of each half.  On
 # CERTIFIED_LEVELS each class is also recomputed in Z[alpha] by _galois_product,
-# whose inverses are powers of the closed form of d_1^(-1), with no division
-# (one-shot words take eval_word, which has none either), and its parities compared.
+# whose inverses are powers of the cached seed d_1^(-1), built by eval_word's
+# three-term chain with no division, and its parities compared.
 WALK_GENERATORS = 16
 
 

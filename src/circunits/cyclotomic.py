@@ -18,8 +18,8 @@ x = E(alpha^2) + alpha * O(alpha^2) and beta = alpha^2,
 
 an element of Z[beta], the ring one level down, and at length 1 of Z.
 Each step is that one product, taken as one big-integer product,
-x(2^b) * x(-2^b).  So p/x = p * x(-alpha) * z with z the inverse of
-x(alpha) * x(-alpha) one level down; the inverse is the case p = 1.
+x(2^b) * x(-2^b).  So 1/x = x(-alpha) * z with z the inverse of
+x(alpha) * x(-alpha) one level down.
 """
 
 from __future__ import annotations
@@ -255,20 +255,17 @@ def _halve(c: Sequence[int]) -> list[int]:
     return _unpack([xp * xn], width, biases, -1)
 
 
-def _divide(p: Sequence[int] | None, c: Sequence[int]) -> list[int]:
-    """p/x for the unit x with coefficients c, or 1/x when p is None.
-    With x(-alpha) = E(beta) - alpha * O(beta) and z = 1/(E^2 - beta * O^2)
-    inverted one level down, p/x = p * x(-alpha) * z: one product, then two
-    half-length ones, the even and the odd coefficients of p * x(-alpha)
-    times z.  At length 1 the norm must be +-1."""
+def _divide(c: Sequence[int]) -> list[int]:
+    """1/x for the unit x with coefficients c.  With x(-alpha) = E(beta) -
+    alpha * O(beta) and z = 1/(E^2 - beta * O^2) inverted one level down,
+    1/x = x(-alpha) * z: two half-length products, the even and the odd
+    coefficients of x(-alpha) times z.  At length 1 the norm must be +-1."""
     if len(c) == 1:
         _require_unit(c[0])
-        return list(c) if p is None else [c[0] * v for v in p]
-    z = _divide(None, _halve(c))
+        return list(c)
+    z = _divide(_halve(c))
     num = list(c)
     num[1::2] = map(neg, c[1::2])  # x(-alpha)
-    if p is not None:
-        num = _wrapped(p, num, -1)
     num[0::2] = _wrapped(num[0::2], z, -1)
     num[1::2] = _wrapped(num[1::2], z, -1)
     return num
@@ -311,9 +308,9 @@ class CycInt(_Frozen):
     """An element of Z[alpha] in reduced form: coeffs[j] is the coefficient
     of alpha^j for 0 <= j < 2^(n-1).  Only word values, from eval_word and
     _galois_product, set known_unit (norm 1); _key leaves it out of ==,
-    hash and repr, and no operation passes it on.  Its constructor and
-    from_terms leave coefficients unchecked (all package callers pass ints;
-    checks cost time).
+    hash and repr, and no operation passes it on.  invert_unit is the one
+    division.  Its constructor and from_terms leave coefficients unchecked
+    (package callers pass ints; checks cost time).
     """
 
     __slots__ = ("level", "coeffs", "known_unit")
@@ -439,7 +436,7 @@ class CycInt(_Frozen):
 
     def invert_unit(self) -> CycInt:
         """Inverse of a unit, descending the subfield tower to Z."""
-        return CycInt(self.level, tuple(_divide(None, self.coeffs)))
+        return CycInt(self.level, tuple(_divide(self.coeffs)))
 
     # ------------------------------------------------------------------ #
     # reductions and predicates

@@ -244,9 +244,9 @@ def test_eval_word_against_per_factor_route(monkeypatch, n):
     calls = []
     real_divide, real_d_power = cyclotomic._divide, circular_units._d_power
 
-    def divide(p, c):
+    def divide(c):
         calls.append("_divide")
-        return real_divide(p, c)
+        return real_divide(c)
 
     def d_power(n, e):
         calls.append("_d_power")
@@ -391,39 +391,61 @@ def test_d_power_galois_images_are_the_d_j_powers(n):
 
 @pytest.mark.parametrize("n", range(3, 13))
 def test_d_inverse_closed_form_is_the_tower_inverse(n):
-    """d_1^(-1) = alpha * sum_(i<t) alpha^(3i), 3t = 1 mod 2^n, is the
-    inverse the tower descent finds, and has coefficients in {-1, 0, 1}."""
+    """The cached seed d_1^(-1), the chain of _times_d_inverse, is the
+    inverse the tower descent finds and the oracle d_1^(-1) = alpha *
+    sum_(i<t) alpha^(3i), 3t = 1 mod 2^n, from d_1 = alpha^(-1) (1 - alpha^3)
+    / (1 - alpha), whose coefficients lie in {-1, 0, 1}."""
     lv = Level(n)
-    seed = circular_units._d_inverse(n)
+    t = pow(3, -1, lv.order)
+    oracle = CycInt.from_terms(lv, ((3 * i + 1, 1) for i in range(t)))
+    assert set(oracle.coeffs) <= {-1, 0, 1}
+    seed = circular_units._d_power(n, -1)
+    assert seed == oracle
     assert seed == seq_d(lv, 1).invert_unit()
-    assert set(seed.coeffs) <= {-1, 0, 1}
 
 
 @pytest.mark.parametrize("n", range(4, 9))
 def test_d_inverse_powers_from_the_seed(n):
     """Every d_1^(-e) is d_1^e's inverse and the seed's power."""
     lv = Level(n)
-    seed = circular_units._d_inverse(n)
+    seed = circular_units._d_power(n, -1)
     for e in [*range(1, 10), 16, 32]:
         inverse = circular_units._d_power(n, -e)
         assert inverse == seq_d(lv, 1) ** -e, e
         assert inverse == seed**e, e
 
 
-def test_cli_exits_3_when_the_closed_form_is_wrong(monkeypatch, capsys):
-    """A seed of t - 1 terms is not d_1's inverse: the guard stops the
-    verifier before the cache serves it."""
+def _flipped_inverse(x, j, n):
+    """_times_d_inverse with the sign (-1)^(n+1) in place of (-1)^n, so
+    that the fault shows at even n as well."""
+    for t in range(n - 2):
+        x = cyclotomic._times_1_plus_s(x, j << t, -1)
+    return x if n % 2 else list(map(neg, x))
+
+
+@pytest.mark.parametrize(
+    "fault", [_flipped_inverse, _short_inverse], ids=["sign-flipped", "chain-cut"]
+)
+def test_cli_exits_3_when_the_seed_chain_is_wrong(monkeypatch, capsys, fault):
+    """A wrong chain for d_1^(-1) fails the seed's self-check: the verifier
+    stops with exit 3 before the cache serves the seed or any power of it."""
     circular_units._d_power.cache_clear()
-    circular_units._d_inverse.cache_clear()
-    short = lambda b, e, m: pow(b, e, m) - (e == -1)  # noqa: E731
-    monkeypatch.setattr(circular_units, "pow", short, raising=False)
+    circular_units._d_seed.cache_clear()
+    calls = []
+
+    def spy(*args):
+        calls.append(args[1:])
+        return fault(*args)
+
+    monkeypatch.setattr(circular_units, "_times_d_inverse", spy)
     assert main(["verify", "--n", "6"]) == 3
     captured = capsys.readouterr()
+    assert calls
     assert captured.out == ""
     assert captured.err.splitlines() == [
         "internal disagreement: the closed form of d_1^(-1) is not its inverse"
     ]
-    assert circular_units._d_inverse.cache_info().currsize == 0
+    assert circular_units._d_seed.cache_info().currsize == 0
 
 
 def marked_words(lv: Level, rng: random.Random) -> list[UnitWord]:

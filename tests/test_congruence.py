@@ -759,10 +759,16 @@ def test_exact_cross_check_value_is_the_word_value(n):
 
 def test_exact_cross_check_descends_no_tower(monkeypatch):
     # from a cold cache, n = 7 takes d_1^(-e) for e = 8, 4, 2, 1 as powers
-    # of the closed form of d_1^(-1), built once: no invert_unit, no
-    # _divide, and no word evaluated through eval_word
+    # of the seed _d_power(7, -1), built once by one inverse chain: no
+    # invert_unit, no _divide, and no word evaluated through eval_word
     circular_units._d_power.cache_clear()
-    circular_units._d_inverse.cache_clear()
+    circular_units._d_seed.cache_clear()
+    real_chain = circular_units._times_d_inverse
+    chains = []
+
+    def chain(*args):
+        chains.append(args[1:])
+        return real_chain(*args)
 
     def descended(*args):
         raise AssertionError("a tower descent on the verifier's path")
@@ -773,10 +779,11 @@ def test_exact_cross_check_descends_no_tower(monkeypatch):
     monkeypatch.setattr(CycInt, "invert_unit", descended)
     monkeypatch.setattr(cyclotomic, "_divide", descended)
     monkeypatch.setattr(circular_units, "eval_word", refused)
+    monkeypatch.setattr(circular_units, "_times_d_inverse", chain)
     monkeypatch.setattr(congruence, "eval_word", refused, raising=False)
     lv = Level(7)
     assert verify_main_theorem(lv).trivial_only
-    assert circular_units._d_inverse.cache_info().misses == 1
+    assert chains == [(1, 7)]
     monkeypatch.undo()
     # one cached power per exponent of the words, and no other
     gens = generator_system(lv).sqrt_gens

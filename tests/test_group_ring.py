@@ -410,10 +410,17 @@ def test_v1_images_equal_the_eval_word_route(n):
 
 def test_v1_generators_descend_no_tower(monkeypatch):
     # from a cold cache, d_1^(-e) for each negative exponent -e of F's
-    # generator words is a power of the closed form of d_1^(-1), built once:
-    # no invert_unit, no _divide, and no word through eval_word
+    # generator words is a power of the seed _d_power(7, -1), built once by
+    # one inverse chain: no invert_unit, no _divide, and no word through
+    # eval_word
     circular_units._d_power.cache_clear()
-    circular_units._d_inverse.cache_clear()
+    circular_units._d_seed.cache_clear()
+    real_chain = circular_units._times_d_inverse
+    chains = []
+
+    def chain(*args):
+        chains.append(args[1:])
+        return real_chain(*args)
 
     def descended(*args):
         raise AssertionError("a tower descent on the V_1 path")
@@ -424,9 +431,10 @@ def test_v1_generators_descend_no_tower(monkeypatch):
     monkeypatch.setattr(CycInt, "invert_unit", descended)
     monkeypatch.setattr(cyclotomic, "_divide", descended)
     monkeypatch.setattr(circular_units, "eval_word", refused)
+    monkeypatch.setattr(circular_units, "_times_d_inverse", chain)
     lv = Level(7)
     report = v1_generators(lv)
-    assert circular_units._d_inverse.cache_info().misses == 1
+    assert chains == [(1, 7)]
     monkeypatch.undo()
     gens = generator_system(lv).f_gens
     negative = dict.fromkeys(-e for lw in gens for _, e in lw.word.d_exps if e < 0)
